@@ -79,28 +79,37 @@ def packing_to_json(config: PackingConfiguration) -> str:
     return dumps_json(doc) + "\n"
 
 
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}") from None
+
+
 def packing_from_json(text: str) -> PackingConfiguration:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("packing JSON must be an object")
     radius = doc.get("radius", 1.0)
-    if abs(float(radius) - 1.0) > 1e-12:
+    if abs(_number(radius, "radius") - 1.0) > 1e-12:
         raise ValueError("only unit-radius packings are supported")
     dom = doc.get("domain")
     if not isinstance(dom, dict):
         raise ValueError("packing JSON needs a 'domain' object")
     domain = Domain(
         kind=dom.get("kind", "torus"),
-        width=float(dom["width"]),
-        height=float(dom["height"]),
-        margin=float(dom.get("margin", 4.0)),
+        width=_number(dom["width"], "domain width"),
+        height=_number(dom["height"], "domain height"),
+        margin=_number(dom.get("margin", 4.0), "domain margin"),
     )
     centers = doc.get("centers")
     if not isinstance(centers, list):
         raise ValueError("packing JSON needs a 'centers' array")
     pts = []
     for row in centers:
-        x, y = float(row[0]), float(row[1])
+        if not (isinstance(row, list) and len(row) == 2):
+            raise ValueError(f"each center must be an [x, y] pair, got {json.dumps(row)}")
+        x, y = _number(row[0], "center coordinate"), _number(row[1], "center coordinate")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("center coordinates must be finite")
         pts.append(Point(x, y))

@@ -7,12 +7,23 @@ representative of each periodic structure. Correctness of the replication
 is *checked*, not assumed: every collected circumradius must stay below
 k * min(width, height) / 2, and the canonical cocircular polygons must tile
 the torus rectangle exactly; if either fails, k grows and the block is
-rebuilt.
+rebuilt. Box configurations are triangulated directly.
 
+Both domains then share one vertex assembly (`_assemble_vertices`): each
+Delaunay triangle is a triple of labelled centers (center index plus
+lattice shift; the shift is zero on a box) with its circumcenter.
 Circumcenters closer than eps_merge are merged into a single Voronoi
 vertex whose generator set is the union, which is what turns exactly
 cocircular configurations (square grids) into degenerate vertices of
-degree >= 4.
+degree >= 4. The center -> vertex incidence of the merged vertices gives
+the torus cells directly and names the corners of the clipped box cells.
+
+The largest empty circle has two routes. `TorusScanner` scans the torus
+block without assembling edges and cells, and keeps the block alive so
+saturation can insert centers incrementally.
+`_diagram_largest_empty_circle` reads the circle off a diagram that is
+already built (the verifier's), for either domain; a box has no
+incremental scan, so `largest_empty_circle` builds the diagram for it.
 """
 
 import math
@@ -28,9 +39,10 @@ from thuelab.geometry import (
     Point,
     Segment,
     ToleranceConfig,
+    polygon_area,
     segments_intersect,
 )
-from thuelab.packing import Domain, PackingConfiguration
+from thuelab.packing import Domain, PackingConfiguration, _require_usable
 
 __all__ = [
     "Triangulation",
@@ -132,12 +144,7 @@ class Triangulation:
         return len(self.triangles)
 
     def triangle_area_sum(self) -> float:
-        total = 0.0
-        for (a, b, c) in self.points:
-            total += 0.5 * abs(
-                (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            )
-        return total
+        return _triangle_area_sum(self.points)
 
 
 @dataclass
@@ -156,16 +163,7 @@ class VoronoiDiagram:
 
     def polygon_area_sum(self) -> float:
         """Total area of the cocircular generator polygons of all vertices."""
-        total = 0.0
-        for v in self.vertices:
-            pts = v.generator_points
-            acc = 0.0
-            for i in range(len(pts)):
-                x0, y0 = pts[i]
-                x1, y1 = pts[(i + 1) % len(pts)]
-                acc += x0 * y1 - x1 * y0
-            total += 0.5 * acc
-        return total
+        return _polygon_area_sum(self.vertices)
 
     def edges_of_cell(self, center_index: int):
         """Incident edges translated into the cell's local frame.
@@ -214,20 +212,44 @@ def _spatial_order(xs, ys):
     return sorted(range(n), key=key)
 
 
-def _circumdata(px, py, tris):
-    """Vectorized circumcenters and radii for index triples into px/py."""
-    t = np.asarray(tris, dtype=np.intp)
-    ax, ay = px[t[:, 0]], py[t[:, 0]]
-    bx = px[t[:, 1]] - ax
-    by = py[t[:, 1]] - ay
-    cx = px[t[:, 2]] - ax
-    cy = py[t[:, 2]] - ay
+def _circumdata(px, py):
+    """Vectorized circumcenters and radii of triangles whose corner
+    coordinates are the rows of the (m, 3) arrays px, py."""
+    ax, ay = px[:, 0], py[:, 0]
+    bx, by = px[:, 1] - ax, py[:, 1] - ay
+    cx, cy = px[:, 2] - ax, py[:, 2] - ay
     d = 2.0 * (bx * cy - by * cx)
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
     return ax + ux, ay + uy, np.hypot(ux, uy)
+
+
+def _wrap_arrays(domain, xs, ys):
+    """Reduce coordinate arrays into the torus rectangle."""
+    w, h = domain.width, domain.height
+    return xs - w * np.floor(xs / w), ys - h * np.floor(ys / h)
+
+
+def _triangle_area_sum(point_triples):
+    """Total unsigned area of triangles given by their corner coordinates,
+    each computed relative to its first corner."""
+    total = 0.0
+    for (a, b, c) in point_triples:
+        total += 0.5 * abs(
+            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        )
+    return total
+
+
+def _polygon_area_sum(vertices):
+    return sum(polygon_area(v.generator_points) for v in vertices)
+
+
+def _pitteway_label(generator_points, endpoints) -> str:
+    seg = Segment(*generator_points)
+    return "pitteway" if segments_intersect(seg, Segment(*endpoints)) else "non_pitteway"
 
 
 class _UnionFind:
@@ -304,6 +326,88 @@ def _edge_key(i, si, j, sj):
 
 
 # ---------------------------------------------------------------------------
+# shared vertex assembly
+
+
+def _assemble_vertices(config, tol, tris, labels, ccx, ccy):
+    """Merged Voronoi vertices of labelled Delaunay triangles.
+
+    `tris` are triples of kernel point ids, `labels[id]` is the
+    (center index, sx, sy) copy that id stands for (zero shifts on a box),
+    and ccx/ccy are the triangles' circumcenters in kernel coordinates. On
+    a torus the circumcenters are reduced into the rectangle and merged in
+    the torus metric. Returns the vertices sorted by position and the
+    triangle -> vertex index map."""
+    domain = config.domain
+    torus = domain.is_torus
+    w, h = domain.width, domain.height
+    centers = config.centers
+    rx, ry = _wrap_arrays(domain, ccx, ccy) if torus else (ccx, ccy)
+
+    clusters = _cluster_points(
+        rx.tolist(), ry.tolist(), tol.eps_merge, domain if torus else None
+    )
+    drafts = []
+    for members in clusters:
+        pos_idx = min(members, key=lambda t: (rx[t], ry[t]))
+        pos = Point(float(rx[pos_idx]), float(ry[pos_idx]))
+        gens = {}
+        for t in members:
+            tmx = tmy = 0
+            if torus:
+                # reduce relative to the cluster representative: a floor-based
+                # reduction could disagree between periodic copies when the
+                # circumcenter sits within an ulp of the rectangle boundary
+                tmx = round((float(ccx[t]) - pos[0]) / w)
+                tmy = round((float(ccy[t]) - pos[1]) / h)
+            for kid in tris[t]:
+                i, sx, sy = labels[kid]
+                key = (i, sx - tmx, sy - tmy)
+                if key not in gens:
+                    # a box keeps the input coordinates exactly (adding a
+                    # zero shift would turn -0.0 into 0.0)
+                    gens[key] = (
+                        Point(centers[i][0] + key[1] * w, centers[i][1] + key[2] * h)
+                        if torus
+                        else centers[i]
+                    )
+        items = sorted(gens.items())
+        perm = _ccw_start_lex([p for _, p in items])
+        ordered = [items[j] for j in perm]
+        gen_idx = tuple(key[0] for key, _ in ordered)
+        gen_shift = tuple((key[1], key[2]) for key, _ in ordered)
+        gen_pts = tuple(p for _, p in ordered)
+        radius = max(math.hypot(p[0] - pos[0], p[1] - pos[1]) for p in gen_pts)
+        drafts.append((pos, gen_idx, gen_shift, gen_pts, radius, members))
+
+    drafts.sort(key=lambda d: (d[0][0], d[0][1]))
+    vertices = []
+    tri_vertex = [-1] * len(tris)
+    for vi, (pos, gen_idx, gen_shift, gen_pts, radius, members) in enumerate(drafts):
+        vertices.append(VoronoiVertex(vi, pos, gen_idx, gen_shift, gen_pts, radius))
+        for t in members:
+            tri_vertex[t] = vi
+    return vertices, tri_vertex
+
+
+def _incident_vertices(config, vertices):
+    """Per center, the (vertex, lattice shift) pairs of the vertices it
+    generates, in vertex index order."""
+    incident = [[] for _ in range(config.n)]
+    for v in vertices:
+        seen = set()
+        for i, shift in zip(v.generators, v.generator_shifts):
+            if i in seen:
+                raise DegenerateGeometryError(
+                    "cell touches the same vertex through two periodic copies; "
+                    "domain too small relative to the empty circles"
+                )
+            seen.add(i)
+            incident[i].append((v, shift))
+    return incident
+
+
+# ---------------------------------------------------------------------------
 # torus construction
 
 
@@ -369,17 +473,7 @@ class _TorusBlock:
         py = np.fromiter(
             (self.tri.point(i)[1] for t in central for i in t), dtype=float, count=3 * m
         )
-        px = px.reshape(m, 3)
-        py = py.reshape(m, 3)
-        ax, ay = px[:, 0], py[:, 0]
-        bx, by = px[:, 1] - ax, py[:, 1] - ay
-        cx, cy = px[:, 2] - ax, py[:, 2] - ay
-        d = 2.0 * (bx * cy - by * cx)
-        b2 = bx * bx + by * by
-        c2 = cx * cx + cy * cy
-        ux = (cy * b2 - by * c2) / d
-        uy = (bx * c2 - cx * b2) / d
-        return central, ax + ux, ay + uy, np.hypot(ux, uy)
+        return (central,) + _circumdata(px.reshape(m, 3), py.reshape(m, 3))
 
     def radius_bound(self) -> float:
         return self.k * min(self.config.domain.width, self.config.domain.height) / 2.0
@@ -392,10 +486,7 @@ class _TorusBlock:
             raise DegenerateGeometryError(
                 "circumradius exceeds the replication guarantee"
             )
-        w = self.config.domain.width
-        h = self.config.domain.height
-        rx = cx - w * np.floor(cx / w)
-        ry = cy - h * np.floor(cy / h)
+        rx, ry = _wrap_arrays(self.config.domain, cx, cy)
         best = np.lexsort((ry, rx, -r))[0]
         return Point(float(rx[best]), float(ry[best])), float(r[best])
 
@@ -422,81 +513,29 @@ def _torus_vertices(config, tol, block):
 
     Returns None when the block's canonical polygons fail to tile the
     torus rectangle, which signals that k must grow."""
-    domain = config.domain
-    w, h = domain.width, domain.height
     central, ccx, ccy, rad = block.central_triangles()
     if float(np.max(rad)) >= block.radius_bound():
         return None
-
-    mx = np.floor(ccx / w)
-    my = np.floor(ccy / h)
-    rx = ccx - w * mx
-    ry = ccy - h * my
-
-    clusters = _cluster_points(rx.tolist(), ry.tolist(), tol.eps_merge, domain)
-    centers = config.centers
-    vertices = []
-    for members in clusters:
-        pos_idx = min(members, key=lambda t: (rx[t], ry[t]))
-        pos = Point(float(rx[pos_idx]), float(ry[pos_idx]))
-        gens = {}
-        for t in members:
-            # reduce relative to the cluster representative: a floor-based
-            # reduction could disagree between periodic copies when the
-            # circumcenter sits within an ulp of the rectangle boundary
-            tmx = round((float(ccx[t]) - pos[0]) / w)
-            tmy = round((float(ccy[t]) - pos[1]) / h)
-            for kid in central[t]:
-                i, sx, sy = block.labels[kid]
-                key = (i, sx - tmx, sy - tmy)
-                if key not in gens:
-                    gens[key] = Point(
-                        centers[i][0] + key[1] * w, centers[i][1] + key[2] * h
-                    )
-        items = sorted(gens.items())
-        pts = [p for _, p in items]
-        perm = _ccw_start_lex(pts)
-        ordered = [items[j] for j in perm]
-        gen_idx = tuple(key[0] for key, _ in ordered)
-        gen_shift = tuple((key[1], key[2]) for key, _ in ordered)
-        gen_pts = tuple(p for _, p in ordered)
-        radius = max(math.hypot(p[0] - pos[0], p[1] - pos[1]) for p in gen_pts)
-        vertices.append((pos, gen_idx, gen_shift, gen_pts, radius))
-
-    vertices.sort(key=lambda v: (v[0][0], v[0][1]))
-    out = [
-        VoronoiVertex(i, pos, gi, gs, gp, r)
-        for i, (pos, gi, gs, gp, r) in enumerate(vertices)
-    ]
-
+    vertices, _ = _assemble_vertices(config, tol, central, block.labels, ccx, ccy)
     # tiling validation: the canonical cocircular polygons must cover the
     # torus exactly once
-    total = 0.0
-    for v in out:
-        pts = v.generator_points
-        acc = 0.0
-        for i in range(len(pts)):
-            x0, y0 = pts[i]
-            x1, y1 = pts[(i + 1) % len(pts)]
-            acc += x0 * y1 - x1 * y0
-        total += 0.5 * acc
-    if abs(total - w * h) > 1e-9 * max(1.0, w * h):
+    area = config.domain.area
+    if abs(_polygon_area_sum(vertices) - area) > 1e-9 * max(1.0, area):
         return None
-    return out
+    return vertices
 
 
 def _fan_triangulation(vertices):
     """Canonical triangles: fan every vertex's generator polygon from its
     lexicographically smallest generator."""
-    triples, shifts, points, owners = [], [], [], []
+    triples, shifts, points = [], [], []
     for v in vertices:
         gi, gs, gp = v.generators, v.generator_shifts, v.generator_points
         for k in range(1, len(gi) - 1):
             triples.append((gi[0], gi[k], gi[k + 1]))
             shifts.append((gs[0], gs[k], gs[k + 1]))
             points.append((gp[0], gp[k], gp[k + 1]))
-            owners.append(v.index)
-    return triples, shifts, points, owners
+    return triples, shifts, points
 
 
 def _triangle_neighbors(triples, shifts, closed: bool):
@@ -523,7 +562,6 @@ def _triangle_neighbors(triples, shifts, closed: bool):
 
 def _torus_edges(config, tol, vertices):
     """Voronoi edges from consecutive generator pairs around each vertex."""
-    w, h = config.domain.width, config.domain.height
     sides = {}
     for v in vertices:
         d = v.degree
@@ -558,12 +596,6 @@ def _torus_edges(config, tol, vertices):
         p2 = Point(v2.position[0] + tx, v2.position[1] + ty)
         gens = (a1[0], b1[0])
         gpts = (a1[2], b1[2])
-        seg = Segment(gpts[0], gpts[1])
-        label = (
-            "pitteway"
-            if segments_intersect(seg, Segment(v1.position, p2))
-            else "non_pitteway"
-        )
         edges.append(
             VoronoiEdge(
                 index=len(edges),
@@ -571,7 +603,7 @@ def _torus_edges(config, tol, vertices):
                 vertex_indices=(v1.index, v2.index),
                 endpoints=(v1.position, p2),
                 generator_points=gpts,
-                pitteway=label,
+                pitteway=_pitteway_label(gpts, (v1.position, p2)),
             )
         )
     return edges
@@ -579,22 +611,13 @@ def _torus_edges(config, tol, vertices):
 
 def _torus_cells(config, tol, vertices):
     w, h = config.domain.width, config.domain.height
-    incident = {i: [] for i in range(config.n)}
-    for v in vertices:
-        seen = set()
-        for i, (sx, sy) in zip(v.generators, v.generator_shifts):
-            if i in seen:
-                raise DegenerateGeometryError(
-                    "cell touches the same vertex through two periodic copies; "
-                    "domain too small relative to the empty circles"
-                )
-            seen.add(i)
-            corner = Point(v.position[0] - sx * w, v.position[1] - sy * h)
-            incident[i].append((corner, v.index))
     cells = []
-    for i in range(config.n):
+    for i, incident in enumerate(_incident_vertices(config, vertices)):
         cx, cy = config.centers[i]
-        items = incident[i]
+        items = [
+            (Point(v.position[0] - sx * w, v.position[1] - sy * h), v.index)
+            for v, (sx, sy) in incident
+        ]
         if len(items) < 3:
             raise DegenerateGeometryError(f"cell of center {i} has fewer than 3 corners")
         items.sort(key=lambda it: math.atan2(it[0][1] - cy, it[0][0] - cx))
@@ -602,18 +625,13 @@ def _torus_cells(config, tol, vertices):
         items = items[start:] + items[:start]
         boundary = tuple(it[0] for it in items)
         vidx = tuple(it[1] for it in items)
-        acc = 0.0
-        for t in range(len(boundary)):
-            x0, y0 = boundary[t]
-            x1, y1 = boundary[(t + 1) % len(boundary)]
-            acc += x0 * y1 - x1 * y0
         cells.append(
             VoronoiCell(
                 center_index=i,
                 center=Point(cx, cy),
                 boundary=boundary,
                 vertex_indices=vidx,
-                area=0.5 * acc,
+                area=polygon_area(boundary),
                 analyzable=True,
             )
         )
@@ -637,24 +655,12 @@ def _build_torus(
             continue
         if vertices is None:
             continue
-        if vertices_only:
-            return _Structure(
-                config=config,
-                tol=tol,
-                vertices=vertices,
-                tri_triples=[],
-                tri_shifts=[],
-                tri_points=[],
-                tri_neighbors=[],
-                edges=[],
-                cells=[],
-                excluded_cells=0,
-                block=block,
-            )
-        triples, shifts, points, _owners = _fan_triangulation(vertices)
-        neighbors = _triangle_neighbors(triples, shifts, closed=True)
-        edges = _torus_edges(config, tol, vertices)
-        cells = _torus_cells(config, tol, vertices)
+        triples, shifts, points, neighbors, edges, cells = [], [], [], [], [], []
+        if not vertices_only:
+            triples, shifts, points = _fan_triangulation(vertices)
+            neighbors = _triangle_neighbors(triples, shifts, closed=True)
+            edges = _torus_edges(config, tol, vertices)
+            cells = _torus_cells(config, tol, vertices)
         return _Structure(
             config=config,
             tol=tol,
@@ -756,18 +762,10 @@ def _verify_box_delaunay(config, tris):
 
     lower = half_hull(pts)
     upper = half_hull(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    hull_area = 0.0
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        hull_area += 0.5 * (x0 * y1 - x1 * y0)
-    tri_area = 0.0
-    for (a, b, c) in tris:
-        pa, pb, pc = centers[a], centers[b], centers[c]
-        tri_area += 0.5 * abs(
-            (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-        )
+    hull_area = polygon_area(lower[:-1] + upper[:-1])
+    tri_area = _triangle_area_sum(
+        (centers[a], centers[b], centers[c]) for (a, b, c) in tris
+    )
     return abs(tri_area - hull_area) <= 1e-9 * max(1.0, hull_area)
 
 
@@ -804,34 +802,15 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
     points = [
         (centers[a], centers[b], centers[c]) for (a, b, c) in tris
     ]
-    neighbors = _triangle_neighbors(tris, [s for s in shifts], closed=False)
+    neighbors = _triangle_neighbors(tris, shifts, closed=False)
 
-    px = np.array([p[0] for p in centers])
-    py = np.array([p[1] for p in centers])
-    ccx, ccy, rad = _circumdata(px, py, tris)
-    clusters = _cluster_points(ccx.tolist(), ccy.tolist(), tol.eps_merge, None)
-
-    vertices = []
-    tri_vertex = [-1] * len(tris)
-    drafts = []
-    for members in clusters:
-        pos_idx = min(members, key=lambda t: (ccx[t], ccy[t]))
-        pos = Point(float(ccx[pos_idx]), float(ccy[pos_idx]))
-        gens = sorted({i for t in members for i in tris[t]})
-        pts = [centers[i] for i in gens]
-        perm = _ccw_start_lex(pts)
-        gen_idx = tuple(gens[j] for j in perm)
-        gen_pts = tuple(centers[i] for i in gen_idx)
-        radius = max(math.hypot(p[0] - pos[0], p[1] - pos[1]) for p in gen_pts)
-        drafts.append((pos, gen_idx, gen_pts, members, radius))
-    drafts.sort(key=lambda d: (d[0][0], d[0][1]))
-    for vi, (pos, gen_idx, gen_pts, members, radius) in enumerate(drafts):
-        shifts0 = tuple((0, 0) for _ in gen_idx)
-        vertices.append(
-            VoronoiVertex(vi, pos, gen_idx, shifts0, gen_pts, radius)
-        )
-        for t in members:
-            tri_vertex[t] = vi
+    tri_ids = np.asarray(tris, dtype=np.intp)
+    ccx, ccy, _ = _circumdata(
+        np.array([p[0] for p in centers])[tri_ids],
+        np.array([p[1] for p in centers])[tri_ids],
+    )
+    labels = [(i, 0, 0) for i in range(config.n)]
+    vertices, tri_vertex = _assemble_vertices(config, tol, tris, labels, ccx, ccy)
 
     # Voronoi edges from the Delaunay edges
     edge_map = {}
@@ -845,39 +824,17 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
         inc = edge_map[key]
         i, j = key
         gpts = (centers[i], centers[j])
+        va = tri_vertex[inc[0]]
+        p1 = vertices[va].position
         if len(inc) == 2:
-            va, vb = tri_vertex[inc[0]], tri_vertex[inc[1]]
+            vb = tri_vertex[inc[1]]
             if va == vb:
                 continue  # diagonal inside a cocircular polygon, zero length
-            p1, p2 = vertices[va].position, vertices[vb].position
-            clip = _clip_segment_rect(p1[0], p1[1], p2[0], p2[1], w, h)
-            if clip is None:
-                continue
-            (e1, e2, t0, t1) = clip
-            if math.hypot(e2[0] - e1[0], e2[1] - e1[1]) <= tol.eps_eq:
-                continue  # clipping left a zero-length stub on the boundary
-            label = (
-                "pitteway"
-                if segments_intersect(Segment(*gpts), Segment(Point(*e1), Point(*e2)))
-                else "non_pitteway"
-            )
-            edges.append(
-                VoronoiEdge(
-                    index=len(edges),
-                    generators=key,
-                    vertex_indices=(va, vb),
-                    endpoints=(Point(*e1), Point(*e2)),
-                    generator_points=gpts,
-                    pitteway=label,
-                    clipped=(t0 > 0.0 or t1 < 1.0),
-                )
-            )
+            p2 = vertices[vb].position
         else:
             # hull edge: infinite ray from the single circumcenter, clipped
-            t = inc[0]
-            va = tri_vertex[t]
-            pos = vertices[va].position
-            third = next(v for v in tris[t] if v not in key)
+            vb = -1
+            third = next(v for v in tris[inc[0]] if v not in key)
             ci, cj, ck = centers[i], centers[j], centers[third]
             dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
             norm = math.hypot(dx, dy)
@@ -887,31 +844,26 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
                 dx, dy = -dx, -dy
             # long enough to traverse the rectangle from wherever the
             # circumcenter landed
-            reach = math.hypot(pos[0] - 0.5 * w, pos[1] - 0.5 * h) + 2.0 * (w + h)
-            clip = _clip_segment_rect(
-                pos[0], pos[1], pos[0] + reach * dx, pos[1] + reach * dy, w, h
+            reach = math.hypot(p1[0] - 0.5 * w, p1[1] - 0.5 * h) + 2.0 * (w + h)
+            p2 = (p1[0] + reach * dx, p1[1] + reach * dy)
+        clip = _clip_segment_rect(p1[0], p1[1], p2[0], p2[1], w, h)
+        if clip is None:
+            continue
+        (e1, e2, t0, t1) = clip
+        if math.hypot(e2[0] - e1[0], e2[1] - e1[1]) <= tol.eps_eq:
+            continue  # clipping left a zero-length stub on the boundary
+        endpoints = (Point(*e1), Point(*e2))
+        edges.append(
+            VoronoiEdge(
+                index=len(edges),
+                generators=key,
+                vertex_indices=(va, vb),
+                endpoints=endpoints,
+                generator_points=gpts,
+                pitteway=_pitteway_label(gpts, endpoints),
+                clipped=(vb < 0 or t0 > 0.0 or t1 < 1.0),
             )
-            if clip is None:
-                continue
-            (e1, e2, _t0, _t1) = clip
-            if math.hypot(e2[0] - e1[0], e2[1] - e1[1]) <= tol.eps_eq:
-                continue  # ray only touches the rectangle boundary
-            label = (
-                "pitteway"
-                if segments_intersect(Segment(*gpts), Segment(Point(*e1), Point(*e2)))
-                else "non_pitteway"
-            )
-            edges.append(
-                VoronoiEdge(
-                    index=len(edges),
-                    generators=key,
-                    vertex_indices=(va, -1),
-                    endpoints=(Point(*e1), Point(*e2)),
-                    generator_points=gpts,
-                    pitteway=label,
-                    clipped=True,
-                )
-            )
+        )
 
     # cells: domain rectangle intersected with the bisector half-planes of
     # the Delaunay neighbors
@@ -919,7 +871,7 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
     for (a, b) in edge_map:
         neighbor_sets[a].add(b)
         neighbor_sets[b].add(a)
-    vert_positions = [v.position for v in vertices]
+    incident = _incident_vertices(config, vertices)
     shrink = domain.margin
     cells = []
     excluded = 0
@@ -946,11 +898,12 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
         vidx = []
         analyzable = True
         for q in dedup:
+            # a corner of this cell can only be a vertex this center generates
             best, bestd = -1, tol.eps_merge * 8.0
-            for vi, vp in enumerate(vert_positions):
-                d = math.hypot(q[0] - vp[0], q[1] - vp[1])
+            for v, _shift in incident[i]:
+                d = math.hypot(q[0] - v.position[0], q[1] - v.position[1])
                 if d < bestd:
-                    best, bestd = vi, d
+                    best, bestd = v.index, d
             vidx.append(best)
             if best < 0:
                 analyzable = False
@@ -964,11 +917,6 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
                     and vtx.position[1] + r <= h - shrink
                 ):
                     analyzable = False
-        acc = 0.0
-        for t in range(len(dedup)):
-            x0, y0 = dedup[t]
-            x1, y1 = dedup[(t + 1) % len(dedup)]
-            acc += x0 * y1 - x1 * y0
         if not analyzable:
             excluded += 1
         cells.append(
@@ -977,7 +925,7 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
                 center=Point(*ci),
                 boundary=tuple(Point(*q) for q in dedup),
                 vertex_indices=tuple(vidx),
-                area=0.5 * acc,
+                area=polygon_area(dedup),
                 analyzable=analyzable,
             )
         )
@@ -1001,23 +949,9 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
 
 
 def _build_structure(config, tol):
-    from thuelab.packing import validate
-
-    bad = validate(config, tol)
-    if bad:
-        raise ValueError(f"invalid packing: {len(bad)} violation(s), first {bad[0]}")
+    _require_usable(config, tol)
     if config.domain.is_torus:
-        if config.n < 1:
-            raise DegenerateGeometryError("torus packing needs at least one center")
         return _build_torus(config, tol)
-    if config.n < 3:
-        raise DegenerateGeometryError("box triangulation needs at least 3 centers")
-    a, b = config.centers[0], config.centers[1]
-    if all(
-        backend.orient2d(a[0], a[1], b[0], b[1], c[0], c[1]) == 0
-        for c in config.centers[2:]
-    ):
-        raise DegenerateGeometryError("all centers are collinear")
     return _build_box(config, tol)
 
 
@@ -1067,9 +1001,7 @@ def classify_vertex(v: VoronoiVertex) -> str:
 def classify_edge_pitteway(e: VoronoiEdge, config=None) -> str:
     """An edge is a Pitteway edge when the closed segment between its two
     generating centers meets the closed edge segment."""
-    seg = Segment(e.generator_points[0], e.generator_points[1])
-    edge = Segment(e.endpoints[0], e.endpoints[1])
-    return "pitteway" if segments_intersect(seg, edge) else "non_pitteway"
+    return _pitteway_label(e.generator_points, e.endpoints)
 
 
 class TorusScanner:
@@ -1104,29 +1036,42 @@ def largest_empty_circle(
     config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
 ):
     """Center and radius of the largest circle empty of configuration
-    points, over the analysis region.
+    points, over the analysis region (see `_diagram_largest_empty_circle`).
+
+    A torus is scanned on its replicated block (`TorusScanner`) without
+    assembling edges and cells; a box is read off its full diagram."""
+    if config.domain.is_torus:
+        return TorusScanner(config, tol).max_empty()
+    return _diagram_largest_empty_circle(build_diagram(config, tol))
+
+
+def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
+    """Largest empty circle of an already built diagram.
 
     Torus: the maximum sits at a Voronoi vertex; ties break to the
     lexicographically smallest canonical position. Box: the search region
     is the margin-shrunk rectangle, where the maximum sits at a Voronoi
     vertex, at an edge crossing of the region boundary, or at a region
     corner; all three candidate families are examined."""
+    config = diagram.config
     if config.domain.is_torus:
-        block_structure = _build_torus(config, tol, vertices_only=True)
-        return block_structure.block.max_empty()
+        best = min(
+            diagram.vertices,
+            key=lambda v: (-v.circumradius, v.position[0], v.position[1]),
+        )
+        return best.position, best.circumradius
 
     domain = config.domain
     w, h, m = domain.width, domain.height, domain.margin
     x0, y0, x1, y1 = m, m, w - m, h - m
     if not (x0 < x1 and y0 < y1):
         raise DegenerateGeometryError("margin leaves no analysis region")
-    s = _build_structure(config, tol)
     candidates = []
-    for v in s.vertices:
+    for v in diagram.vertices:
         px, py = v.position
         if x0 <= px <= x1 and y0 <= py <= y1:
             candidates.append((px, py))
-    for e in s.edges:
+    for e in diagram.edges:
         (ax, ay), (bx, by) = e.endpoints
         clip = _clip_segment_rect(ax - x0, ay - y0, bx - x0, by - y0, x1 - x0, y1 - y0)
         if clip is None:

@@ -29,7 +29,12 @@ from thuelab.geometry import (
 )
 from thuelab.lattice import Basis2, HEX_MIN_DET
 from thuelab.packing import PackingConfiguration
-from thuelab.tessellation import VoronoiCell, VoronoiDiagram, build_diagram
+from thuelab.tessellation import (
+    VoronoiCell,
+    VoronoiDiagram,
+    _diagram_largest_empty_circle,
+    build_diagram,
+)
 
 __all__ = [
     "LTriangle",
@@ -488,17 +493,7 @@ def check_thue(
 
     results = []
 
-    if domain.is_torus:
-        best = None
-        for v in diagram.vertices:
-            key = (-v.circumradius, v.position[0], v.position[1])
-            if best is None or key < best[0]:
-                best = (key, v)
-        lec_pos, lec_radius = best[1].position, best[1].circumradius
-    else:
-        from thuelab.tessellation import largest_empty_circle
-
-        lec_pos, lec_radius = largest_empty_circle(config, tol)
+    lec_pos, lec_radius = _diagram_largest_empty_circle(diagram)
     saturated = lec_radius < 2.0 - tol.eps_eq
     witness = (
         None

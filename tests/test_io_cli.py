@@ -122,9 +122,19 @@ class TestCliVerify:
         assert doc["saturated"] is False
         assert doc["saturation_witness"]["radius"] == pytest.approx(2.0, abs=1e-9)
 
-    def test_malformed_exit_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"domain": {"kind": "torus", "width": 10, "height": 10}, "centers": [1, 2]}',
+            '{"domain": {"kind": "torus", "width": 10, "height": 10}, "centers": [[1]]}',
+            '{"domain": {"kind": "torus", "width": null, "height": 10}, "centers": []}',
+        ],
+        ids=["not-json", "scalar-row", "short-row", "null-width"],
+    )
+    def test_malformed_exit_2(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         assert main(["verify", str(bad)]) == 2
 
     def test_missing_file_exit_2(self):

@@ -509,3 +509,49 @@ class TestTorusScanner:
         )
         _, r3 = largest_empty_circle(aug)
         assert r3 == pytest.approx(r2, abs=1e-9)
+
+
+class TestSharedAssembly:
+    """Torus and box share the vertex assembly, the center -> vertex
+    incidence and the largest-empty-circle routine of a built diagram."""
+
+    def test_box_check_thue_triangulates_once(self, monkeypatch):
+        from thuelab.packing import gen_hexagonal
+        from thuelab.verifier import check_thue
+
+        built = []
+        real = backend.Triangulator
+
+        def counting(bounds):
+            built.append(bounds)
+            return real(bounds)
+
+        cfg = gen_hexagonal(Domain("box", 20.0, 20.0, margin=4.0))
+        monkeypatch.setattr(backend, "Triangulator", counting)
+        assert check_thue(cfg).verdict
+        assert len(built) == 1
+
+    def test_box_saturation_extremal_is_largest_empty_circle(self):
+        from thuelab.verifier import check_thue
+
+        cfg = gen_random(Domain("box", 14.0, 14.0, margin=4.0), seed=17, max_failures=60)
+        sat = next(c for c in check_thue(cfg).checks if c.check_id == "saturation")
+        assert sat.extremal == largest_empty_circle(cfg)[1]
+
+    def test_torus_largest_empty_circle_is_scanner(self, hex_minus_one):
+        cfg = gen_random(Domain("torus", 16.0, 16.0), seed=5)
+        for c in (cfg, hex_minus_one):
+            assert largest_empty_circle(c) == TorusScanner(c).max_empty()
+
+    def test_perturbed_square_box_corners_name_incident_vertices(self):
+        pts = [(1.0 + 2.2 * i, 1.0 + 2.2 * j) for j in range(9) for i in range(9)]
+        square = PackingConfiguration(Domain("box", 20.0, 20.0, margin=4.0), tuple(pts))
+        cfg = perturb(square, seed=1, magnitude=1e-6)
+        dia = build_diagram(cfg)
+        named = 0
+        for cell in dia.cells:
+            for vi in cell.vertex_indices:
+                if vi >= 0:
+                    assert cell.center_index in dia.vertices[vi].generators
+                    named += 1
+        assert named > 0
