@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Benchmark the compiled C kernel against the pure-Python fallback.
 
 Times the two Triangulator implementations on identical inputs (a torus
 packing's replicated block, the hot path of the whole pipeline) plus raw
-predicate throughput, and verifies that both produce identical output.
+predicate throughput, and verifies that both produce identical output:
+the same triangles in the same list order. The C kernel is
+`thuelab._core`, compiled from `src/thuelab/_core.c`; build it first with
+`python setup.py build_ext --inplace`.
 
-Run:  python3 benchmarks/bench_backends.py [n_centers]
+Run:  PYTHONPATH=src python3 benchmarks/bench_backends.py [n_centers]
 """
 
 import math
@@ -47,7 +50,7 @@ def time_triangulation(module, pts, bounds, repeats=3):
         for (x, y) in pts:
             tri.add_point(x, y)
         best = min(best, time.perf_counter() - t0)
-        triangles = sorted(tri.triangles())
+        triangles = tri.triangles()
     return best, triangles
 
 
@@ -75,7 +78,7 @@ def main():
     rows.append(("python", py_time, len(py_tris)))
     if _core is not None:
         cy_time, cy_tris = time_triangulation(_core, pts, bounds)
-        rows.append(("cython", cy_time, len(cy_tris)))
+        rows.append(("c", cy_time, len(cy_tris)))
         match = "identical" if cy_tris == py_tris else "DIFFERENT (bug!)"
         print(f"triangulations: {match}")
     else:
@@ -83,7 +86,7 @@ def main():
 
     print(f"\n{'backend':<10} {'triangulate':>14} {'incircle/call':>14}")
     for name, dt, _count in rows:
-        module = _core if name == "cython" else _core_py
+        module = _core if name == "c" else _core_py
         ns, _ = time_predicates(module, repeats=50_000)
         print(f"{name:<10} {dt * 1e3:>11.1f} ms {ns:>11.0f} ns")
     if _core is not None:

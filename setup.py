@@ -1,13 +1,14 @@
-"""Build script: compiles the optional Cython kernel.
+"""Build script: compiles the optional C kernel `thuelab._core`.
 
-The package works without the extension (a pure-Python kernel is selected
-at import time), so a failed compile only costs speed. We therefore treat
-any build error as non-fatal.
+`src/thuelab/_core.c` is a plain CPython extension that the system C
+compiler builds; no code generator is involved. The package works without
+it (a pure-Python kernel is selected at import time), so a failed compile
+only costs speed. We therefore treat any build error as non-fatal.
 """
 
 import sys
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
 
@@ -30,26 +31,16 @@ class OptionalBuildExt(build_ext):
             )
 
 
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        sys.stderr.write("warning: Cython not available; pure-Python kernel only\n")
-        return []
-    from setuptools import Extension
-
-    ext = Extension(
-        "thuelab._core",
-        sources=["src/thuelab/_core.pyx"],
-        language="c++",
-        # Keep strict IEEE semantics: the pure-Python and compiled kernels
-        # must produce bit-identical floats. No -ffast-math.
-        extra_compile_args=["-O2"],
-    )
-    return cythonize([ext], compiler_directives={"language_level": "3"})
-
-
 setup(
-    ext_modules=extensions(),
+    ext_modules=[
+        Extension(
+            "thuelab._core",
+            sources=["src/thuelab/_core.c"],
+            # Keep strict IEEE semantics: the pure-Python and compiled kernels
+            # must produce bit-identical floats. No fused multiply-add, no
+            # -ffast-math.
+            extra_compile_args=["-O2", "-ffp-contract=off"],
+        )
+    ],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -1,10 +1,11 @@
 """Pure-Python triangulation kernel.
 
-Mirror of the compiled extension `thuelab._core`: the same filtered exact
-predicates and the same incremental Bowyer-Watson triangulator, kept in
-lockstep so either backend can be selected at import time. Floating-point
-operations are ordered identically in both, so they produce bit-identical
-results.
+Mirror of the compiled extension `thuelab._core` (`_core.c`): the same
+filtered exact predicates and the same incremental Bowyer-Watson
+triangulator, kept in lockstep so either backend can be selected at import
+time. Floating-point operations are ordered identically in both, and dead
+triangle slots are reused in the same order, so they produce bit-identical
+results: the same triangles in the same list order.
 """
 
 from thuelab import _exact

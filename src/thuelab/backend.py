@@ -1,10 +1,12 @@
 """Kernel backend selection.
 
 The hot kernels (exact-filtered predicates and the Bowyer-Watson
-triangulator) exist twice: a compiled Cython extension and a pure-Python
-mirror. One of them is picked once, at import time:
+triangulator) exist twice: a compiled C extension (``_core.c``, built by
+``setup.py``) and a pure-Python mirror. One of them is picked once, at
+import time:
 
-* ``THUE_LAB_BACKEND=cython``  require the compiled kernel, fail otherwise
+* ``THUE_LAB_BACKEND=c``       require the compiled kernel, fail otherwise
+  (``compiled`` and ``cython`` are accepted as aliases)
 * ``THUE_LAB_BACKEND=python``  force the pure-Python kernel
 * unset / ``auto``             compiled if importable, else pure Python
 
@@ -20,14 +22,14 @@ if _requested in ("", "auto"):
         from thuelab import _core as _impl
     except ImportError:
         from thuelab import _core_py as _impl
-elif _requested in ("cython", "compiled", "c"):
+elif _requested in ("c", "compiled", "cython"):
     from thuelab import _core as _impl
 elif _requested in ("python", "pure"):
     from thuelab import _core_py as _impl
 else:
     raise RuntimeError(
         f"unknown THUE_LAB_BACKEND value {_requested!r}; "
-        "expected 'auto', 'cython' or 'python'"
+        "expected 'auto', 'c' or 'python'"
     )
 
 BACKEND_NAME = _impl.BACKEND_NAME

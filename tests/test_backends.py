@@ -1,12 +1,21 @@
 """The compiled kernel and the pure-Python kernel must be interchangeable:
-identical triangulations, identical predicate signs, on identical inputs."""
+identical triangulations (the same triangles in the same list order, which
+the tessellation depends on), identical predicate signs, on identical
+inputs."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from thuelab import _core_py
+import thuelab
+from thuelab import _core_py, _exact
 from thuelab.tessellation import _spatial_order
 
 try:
@@ -45,7 +54,7 @@ def test_identical_triangulations_random(seed):
     pts = _random_block(seed)
     t_py = _triangulate(_core_py, pts)
     t_cy = _triangulate(_core, pts)
-    assert sorted(t_py.triangles()) == sorted(t_cy.triangles())
+    assert t_py.triangles() == t_cy.triangles()
 
 
 @needs_compiled
@@ -54,7 +63,7 @@ def test_identical_on_exact_grid():
     pts = [(float(x), float(y)) for x in range(0, 12, 2) for y in range(0, 12, 2)]
     t_py = _triangulate(_core_py, pts)
     t_cy = _triangulate(_core, pts)
-    assert sorted(t_py.triangles()) == sorted(t_cy.triangles())
+    assert t_py.triangles() == t_cy.triangles()
 
 
 @needs_compiled
@@ -106,6 +115,13 @@ class TestTriangulatorContract:
         assert sorted(tri.triangles()[0]) == [0, 1, 2]
         assert len(tri.triangles()) == 1
 
+    def test_point_index_out_of_range(self, module):
+        tri = module.Triangulator((0.0, 0.0, 10.0, 10.0))
+        tri.add_point(1.0, 2.0)
+        assert tri.point(0) == (1.0, 2.0)
+        with pytest.raises(IndexError):
+            tri.point(tri.num_points)
+
 
 @needs_compiled
 class TestAdversarialInsertionOrders:
@@ -115,7 +131,7 @@ class TestAdversarialInsertionOrders:
     def _fuzz(self, points, bounds):
         t_py = _triangulate_with(_core_py, points, bounds)
         t_cy = _triangulate_with(_core, points, bounds)
-        assert sorted(t_py.triangles()) == sorted(t_cy.triangles())
+        assert t_py.triangles() == t_cy.triangles()
         pts = [t_py.point(i) for i in range(t_py.num_points)]
         for (a, b, c) in t_py.triangles():
             pa, pb, pc = pts[a], pts[b], pts[c]
@@ -164,6 +180,139 @@ def _triangulate_with(module, points, bounds):
     for (x, y) in points:
         tri.add_point(x, y)
     return tri
+
+
+def _distinct(points):
+    seen = set()
+    return [p for p in points if not (p in seen or seen.add(p))]
+
+
+_coordinate = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+_random_points = st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=60)
+_grid_points = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+        lambda ij: (2.0 * ij[0], 2.0 * ij[1])
+    ),
+    min_size=3,
+    max_size=60,
+)
+_near_collinear_points = st.builds(
+    lambda slope, xs, noise: [
+        (x, slope * x + e) for x, e in zip(xs, noise + [0.0] * len(xs))
+    ],
+    st.floats(-2.0, 2.0),
+    st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=40),
+    st.lists(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -3e-9]), max_size=40),
+)
+
+
+@needs_compiled
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_random_points, _grid_points, _near_collinear_points))
+def test_identical_on_generated_point_sets(points):
+    points = _distinct(points)
+    bounds = (-25.0, -25.0, 25.0, 25.0)
+    t_py = _triangulate_with(_core_py, points, bounds)
+    t_cy = _triangulate_with(_core, points, bounds)
+    assert t_py.triangles() == t_cy.triangles()
+    assert [t_py.point(i) for i in range(len(points))] == [
+        t_cy.point(i) for i in range(len(points))
+    ]
+    flat = [c for p in points for c in p]
+    for i in range(len(points) - 2):
+        args = flat[2 * i : 2 * i + 6]
+        assert _core.orient2d(*args) == _core_py.orient2d(*args)
+    for i in range(len(points) - 3):
+        args = flat[2 * i : 2 * i + 8]
+        assert _core.incircle(*args) == _core_py.incircle(*args)
+
+
+# Replaces thuelab._exact's predicates by counters before thuelab.backend
+# (and so the compiled kernel) is imported, the way perfbench's tracer
+# does, then triangulates an exactly cocircular grid with each kernel.
+_COUNT_EXACT_FALLBACKS = """
+import importlib.util
+import sys
+
+spec = importlib.util.find_spec("thuelab")
+package = importlib.util.module_from_spec(spec)
+sys.modules["thuelab"] = package
+from thuelab import _exact
+
+counts = {"orient2d": 0, "incircle": 0}
+
+
+def counting(name, fn):
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+_exact.orient2d = counting("orient2d", _exact.orient2d)
+_exact.incircle = counting("incircle", _exact.incircle)
+spec.loader.exec_module(package)
+assert "thuelab._core" in sys.modules
+from thuelab import _core, _core_py
+
+grid = [(float(x), float(y)) for x in range(0, 16, 2) for y in range(0, 16, 2)]
+for module in (_core_py, _core):
+    before = dict(counts)
+    tri = module.Triangulator((-5.0, -5.0, 20.0, 20.0))
+    for (x, y) in grid:
+        tri.add_point(x, y)
+    print(module.BACKEND_NAME, *(counts[k] - before[k] for k in ("orient2d", "incircle")))
+"""
+
+
+@needs_compiled
+def test_exact_fallback_counted_when_wrapped_before_import():
+    src = str(Path(thuelab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("THUE_LAB_BACKEND", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_EXACT_FALLBACKS],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert [row[0] for row in rows] == ["python", "c"]
+    py_counts, c_counts = ([int(v) for v in row[1:]] for row in rows)
+    assert c_counts == py_counts
+    assert py_counts[1] > 0
+
+
+@needs_compiled
+def test_exact_fallback_counted_when_wrapped_after_import(monkeypatch):
+    # Each fallback looks its predicate up on thuelab._exact, so a wrapper
+    # installed after the kernels were imported sees every call too.
+    counts = {"orient2d": 0, "incircle": 0}
+
+    def counting(name):
+        fn = getattr(_exact, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(_exact, name, wrapper)
+
+    counting("orient2d")
+    counting("incircle")
+    grid = [(float(x), float(y)) for x in range(0, 16, 2) for y in range(0, 16, 2)]
+    seen = []
+    for module in (_core_py, _core):
+        before = dict(counts)
+        tri = module.Triangulator((-5.0, -5.0, 20.0, 20.0))
+        for x, y in grid:
+            tri.add_point(x, y)
+        seen.append([counts[k] - before[k] for k in ("orient2d", "incircle")])
+    assert seen[1] == seen[0]
+    assert seen[0][1] > 0
 
 
 def test_backend_selection_env(monkeypatch):

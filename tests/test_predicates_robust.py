@@ -18,7 +18,7 @@ backends = [pytest.param(_core_py, id="python")]
 try:
     from thuelab import _core
 
-    backends.append(pytest.param(_core, id="cython"))
+    backends.append(pytest.param(_core, id="c"))
 except ImportError:
     _core = None
 
