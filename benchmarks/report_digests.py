@@ -5,6 +5,8 @@ For each fixed input the script saturates the packing, verifies it, and
 prints one line: the input name, the digest of the saturated packing JSON
 and the digest of the report JSON. Run it before and after a change and
 diff the two outputs; identical lines mean byte-identical results.
+`tests/data/report_digests.txt` keeps the expected lines, and
+`tests/test_report_digests.py` compares them on every test run.
 
 Run:  PYTHONPATH=src python3 benchmarks/report_digests.py
 """
@@ -56,11 +58,17 @@ def digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main():
+def digest_lines():
+    """One output line per input, computed from `inputs()`."""
     for name, config in inputs():
         saturated = greedy_saturate(config)
         report = io.report_to_json(check_thue(saturated))
-        print(f"{name:28s} {digest(io.packing_to_json(saturated))} {digest(report)}")
+        yield f"{name:28s} {digest(io.packing_to_json(saturated))} {digest(report)}"
+
+
+def main():
+    for line in digest_lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,9 @@ static PyObject *exact_module;
 
 static double ccw_errbound;
 static double icc_errbound;
+/* The bounds hold only while no product underflows; see _core_py. */
+#define CCW_MIN_DETSUM 0x1p-960
+#define ICC_MIN_DIFF 0x1p-240
 
 /* Predicates return -1, 0 or +1, and ERR with a Python exception set when
  * the exact fallback fails. */
@@ -69,6 +72,21 @@ done:
 }
 
 static int
+exact_orient2d(double ax, double ay, double bx, double by, double cx, double cy)
+{
+    const double v[6] = {ax, ay, bx, by, cx, cy};
+    return exact_sign("orient2d", v, 6);
+}
+
+static int
+exact_incircle(double ax, double ay, double bx, double by,
+               double cx, double cy, double dx, double dy)
+{
+    const double v[8] = {ax, ay, bx, by, cx, cy, dx, dy};
+    return exact_sign("incircle", v, 8);
+}
+
+static int
 orient2d(double ax, double ay, double bx, double by, double cx, double cy)
 {
     double detleft = (ax - cx) * (by - cy);
@@ -76,6 +94,9 @@ orient2d(double ax, double ay, double bx, double by, double cx, double cy)
     double det = detleft - detright;
     double detsum, errbound;
 
+    if ((detleft == 0.0 && ax != cx && by != cy)
+        || (detright == 0.0 && ay != cy && bx != cx))
+        return exact_orient2d(ax, ay, bx, by, cx, cy); /* a product underflowed */
     if (detleft > 0.0) {
         if (detright <= 0.0)
             /* Signs disagree; a single product's sign is exact. */
@@ -92,12 +113,15 @@ orient2d(double ax, double ay, double bx, double by, double cx, double cy)
     }
 
     errbound = ccw_errbound * detsum;
-    if (det >= errbound || -det >= errbound)
+    if ((det >= errbound || -det >= errbound) && detsum >= CCW_MIN_DETSUM)
         return sign_of(det);
-    {
-        const double v[6] = {ax, ay, bx, by, cx, cy};
-        return exact_sign("orient2d", v, 6);
-    }
+    return exact_orient2d(ax, ay, bx, by, cx, cy);
+}
+
+static int
+tiny_nonzero(double d)
+{
+    return fabs(d) < ICC_MIN_DIFF && d != 0.0;
 }
 
 static int
@@ -110,6 +134,10 @@ incircle(double ax, double ay, double bx, double by,
     double ady = ay - dy;
     double bdy = by - dy;
     double cdy = cy - dy;
+
+    if (tiny_nonzero(adx) || tiny_nonzero(ady) || tiny_nonzero(bdx)
+        || tiny_nonzero(bdy) || tiny_nonzero(cdx) || tiny_nonzero(cdy))
+        return exact_incircle(ax, ay, bx, by, cx, cy, dx, dy);
 
     double bdxcdy = bdx * cdy;
     double cdxbdy = cdx * bdy;
@@ -133,10 +161,7 @@ incircle(double ax, double ay, double bx, double by,
 
     if (det > errbound || -det > errbound)
         return sign_of(det);
-    {
-        const double v[8] = {ax, ay, bx, by, cx, cy, dx, dy};
-        return exact_sign("incircle", v, 8);
-    }
+    return exact_incircle(ax, ay, bx, by, cx, cy, dx, dy);
 }
 
 /* Convert n positional arguments to doubles; -1 with an exception set on
@@ -589,10 +614,13 @@ add_point(Triangulator *self, double x, double y)
     t0 = locate(self, x, y);
     if (t0 < 0)
         return NULL;
-    /* Like the pure-Python kernel, the point is stored before the
-     * insertion, which can still reject it. */
-    if (push_point(self, x, y) < 0 || insert(self, pid, x, y, t0) < 0)
+    if (push_point(self, x, y) < 0)
         return NULL;
+    if (insert(self, pid, x, y, t0) < 0) {
+        /* every failure comes before a triangle changes: drop the point */
+        self->pts.len = pid;
+        return NULL;
+    }
     return PyLong_FromLong(pid - 3);
 }
 

@@ -18,6 +18,13 @@ BACKEND_NAME = "python"
 _EPSILON = 2.0 ** -53
 _CCW_ERRBOUND = (3.0 + 16.0 * _EPSILON) * _EPSILON
 _ICC_ERRBOUND = (10.0 + 96.0 * _EPSILON) * _EPSILON
+# The bounds hold only while no product underflows. orient2d re-evaluates
+# exactly when a product of nonzero factors rounded to zero, or when the
+# products sum below _CCW_MIN_DETSUM; incircle when a nonzero coordinate
+# difference is below _ICC_MIN_DIFF, so that every product, lift and term
+# stays a normal number.
+_CCW_MIN_DETSUM = 2.0 ** -960
+_ICC_MIN_DIFF = 2.0 ** -240
 
 
 def orient2d(ax, ay, bx, by, cx, cy):
@@ -29,6 +36,10 @@ def orient2d(ax, ay, bx, by, cx, cy):
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
 
+    if (detleft == 0.0 and ax != cx and by != cy) or (
+        detright == 0.0 and ay != cy and bx != cx
+    ):
+        return _exact.orient2d(ax, ay, bx, by, cx, cy)
     if detleft > 0.0:
         if detright <= 0.0:
             # Signs disagree; a single product's sign is exact.
@@ -42,7 +53,7 @@ def orient2d(ax, ay, bx, by, cx, cy):
         return (detright < 0.0) - (detright > 0.0)
 
     errbound = _CCW_ERRBOUND * detsum
-    if det >= errbound or -det >= errbound:
+    if (det >= errbound or -det >= errbound) and detsum >= _CCW_MIN_DETSUM:
         return (det > 0.0) - (det < 0.0)
     return _exact.orient2d(ax, ay, bx, by, cx, cy)
 
@@ -57,6 +68,12 @@ def incircle(ax, ay, bx, by, cx, cy, dx, dy):
     ady = ay - dy
     bdy = by - dy
     cdy = cy - dy
+    t = _ICC_MIN_DIFF
+    if (
+        -t < adx < t or -t < ady < t or -t < bdx < t
+        or -t < bdy < t or -t < cdx < t or -t < cdy < t
+    ) and any(d and -t < d < t for d in (adx, ady, bdx, bdy, cdx, cdy)):
+        return _exact.incircle(ax, ay, bx, by, cx, cy, dx, dy)
 
     bdxcdy = bdx * cdy
     cdxbdy = cdx * bdy
@@ -162,7 +179,12 @@ class Triangulator:
         t0 = self._locate(x, y)
         px.append(x)
         py.append(y)
-        self._insert(pid, x, y, t0)
+        try:
+            self._insert(pid, x, y, t0)
+        except (ValueError, RuntimeError):
+            # every failure comes before a triangle changes: drop the point
+            del px[pid], py[pid]
+            raise
         return pid - 3
 
     def add_points(self, xs, ys):

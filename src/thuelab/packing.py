@@ -131,20 +131,47 @@ class Violation(NamedTuple):
 
 
 class _NeighborGrid:
-    """Uniform bucket grid with cell size >= 2, so any two points closer
-    than 2 share a 3x3 cell neighborhood (wrapping on a torus)."""
+    """Uniform bucket grid of points, indexed in insertion order.
 
-    def __init__(self, domain: Domain):
+    The cell size is at least 2, so any two points closer than 2 share a
+    3x3 cell neighborhood (wrapping on a torus), which `neighbors_within`
+    searches. `nearest` searches rings of cells outward: O(1) cells per
+    query on a packing, and never more work than a scan of all points."""
+
+    def __init__(self, domain: Domain, points=()):
         self.domain = domain
+        self.torus = domain.is_torus
         self.ncx = max(1, int(domain.width // 2.0))
         self.ncy = max(1, int(domain.height // 2.0))
         self.cells = {}
         self.points = []
+        # a point more than r cells from a query's cell is more than
+        # r * side away, up to the rounding in `_cell`, which slack covers
+        self.side = min(domain.width / self.ncx, domain.height / self.ncy)
+        self.slack = 1e-9 * (domain.width + domain.height)
+        for p in points:
+            self.add(p)
 
     def _cell(self, x, y):
-        cx = int(x / self.domain.width * self.ncx)
-        cy = int(y / self.domain.height * self.ncy)
-        return min(max(cx, 0), self.ncx - 1), min(max(cy, 0), self.ncy - 1)
+        ncx, ncy = self.ncx, self.ncy
+        cx = int(x / self.domain.width * ncx)
+        cy = int(y / self.domain.height * ncy)
+        # clamped by conditionals, which cost less than min/max calls
+        return (
+            0 if cx < 0 else ncx - 1 if cx >= ncx else cx,
+            0 if cy < 0 else ncy - 1 if cy >= ncy else cy,
+        )
+
+    def _offsets(self, x, y):
+        """The cell of (x, y), and per axis the least and greatest offset
+        from it of a distinct cell: clipped to a box; on a torus every
+        cell once, at its shortest offset (so rings that wrap around the
+        torus visit no cell twice)."""
+        cx, cy = self._cell(x, y)
+        ncx, ncy = self.ncx, self.ncy
+        if self.torus:
+            return cx, cy, -(ncx // 2), (ncx - 1) // 2, -(ncy // 2), (ncy - 1) // 2
+        return cx, cy, -cx, ncx - 1 - cx, -cy, ncy - 1 - cy
 
     def add(self, p):
         idx = len(self.points)
@@ -162,34 +189,69 @@ class _NeighborGrid:
 
     def neighbors_within(self, p, r, skip=-1):
         """Indices of stored points at distance strictly below r (r <= 2)."""
-        cx, cy = self._cell(p[0], p[1])
-        torus = self.domain.is_torus
-        # on a torus with fewer than 3 cells per axis the 3x3 neighborhood
-        # wraps onto itself, so duplicates must be filtered
-        dedup = torus and (self.ncx < 3 or self.ncy < 3)
-        seen_cells = set() if dedup else None
+        cx, cy, lo_x, hi_x, lo_y, hi_y = self._offsets(p[0], p[1])
+        ncx, ncy = self.ncx, self.ncy
+        span_y = range(-1 if lo_y < 0 else 0, 2 if hi_y > 0 else 1)
         out = []
         distance = self.domain.distance
         points = self.points
         get = self.cells.get
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                gx, gy = cx + dx, cy + dy
-                if torus:
-                    gx %= self.ncx
-                    gy %= self.ncy
-                elif not (0 <= gx < self.ncx and 0 <= gy < self.ncy):
-                    continue
-                if dedup:
-                    if (gx, gy) in seen_cells:
-                        continue
-                    seen_cells.add((gx, gy))
-                for idx in get((gx, gy), ()):
-                    if idx == skip:
-                        continue
-                    if distance(p, points[idx]) < r:
+        for kx in range(-1 if lo_x < 0 else 0, 2 if hi_x > 0 else 1):
+            gx = (cx + kx) % ncx
+            for ky in span_y:
+                for idx in get((gx, (cy + ky) % ncy), ()):
+                    if idx != skip and distance(p, points[idx]) < r:
                         out.append(idx)
         return out
+
+    def nearest(self, p, skip=-1):
+        """(distance, index) of the stored point nearest to p other than
+        `skip`, in `Domain.distance`; exact ties go to the smaller index,
+        and (inf, -1) means there is none.
+
+        Rings of cells are searched outward from p's cell, rings 0 and 1
+        together. After ring r every point not yet seen is more than r
+        cell sides away, so the search stops once the best distance is
+        within that, less the slack. Once the cells visited would outnumber
+        the points, it scans all points instead."""
+        domain = self.domain
+        x, y = p[0], p[1]
+        if self.torus and not (0.0 <= x < domain.width and 0.0 <= y < domain.height):
+            x, y = domain.wrap(x, y)
+        cx, cy, lo_x, hi_x, lo_y, hi_y = self._offsets(x, y)
+        ncx, ncy = self.ncx, self.ncy
+        points = self.points
+        distance = domain.distance
+        get = self.cells.get
+        best, best_i = math.inf, -1
+        r = 1
+        while True:
+            span_x = range(-r if -r > lo_x else lo_x, (r if r < hi_x else hi_x) + 1)
+            span_y = range(-r if -r > lo_y else lo_y, (r if r < hi_y else hi_y) + 1)
+            if len(span_x) * len(span_y) > len(points):
+                break
+            # ring r: all of span_y in its outer columns, else its ends
+            ends_y = span_y if r == 1 else [k for k in (-r, r) if k in span_y]
+            for kx in span_x:
+                gx = (cx + kx) % ncx
+                for ky in span_y if kx == r or kx == -r else ends_y:
+                    for i in get((gx, (cy + ky) % ncy), ()):
+                        if i != skip:
+                            d = distance(p, points[i])
+                            if d < best or (d == best and i < best_i):
+                                best, best_i = d, i
+            if best <= r * self.side - self.slack or (
+                len(span_x) == ncx and len(span_y) == ncy
+            ):
+                return best, best_i
+            r += 1
+        best, best_i = math.inf, -1
+        for i, q in enumerate(points):
+            if i != skip:
+                d = distance(p, q)
+                if d < best:
+                    best, best_i = d, i
+        return best, best_i
 
 
 def validate(config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
@@ -327,9 +389,7 @@ def perturb(
         raise ValueError("magnitude must be nonnegative")
     rng = Random(seed)
     domain = config.domain
-    grid = _NeighborGrid(domain)
-    for p in config.centers:
-        grid.add(p)
+    grid = _NeighborGrid(domain, config.centers)
     eps = DEFAULT_TOL.eps_eq
     for i in range(len(grid.points)):
         while True:

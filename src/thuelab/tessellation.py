@@ -42,7 +42,7 @@ from thuelab.geometry import (
     polygon_area,
     segments_intersect,
 )
-from thuelab.packing import Domain, PackingConfiguration, _require_usable
+from thuelab.packing import Domain, PackingConfiguration, _NeighborGrid, _require_usable
 
 __all__ = [
     "Triangulation",
@@ -1023,66 +1023,6 @@ class TorusScanner:
         self._block.insert_center(p)
 
 
-class _CenterGrid:
-    """Nearest-center distances on a box, by a ring search over a bucket
-    grid of the centers.
-
-    The cell side is the largest power of two not above span / sqrt(n) and
-    the grid origin is 0, so every bucket index floor(x / cell) is exact.
-    Rings of cells are visited outward from the query's cell; once rings
-    0..r are done, every center not yet seen lies more than r cells away,
-    so the search stops as soon as the best distance is at most r cells.
-    Once the next ring would bring the cells visited above n (a query far
-    from clustered centers), it scans all centers instead, so a query
-    costs O(n) at worst. A float minimum does not depend on the order its
-    terms are taken in, so the result equals a scan over all centers bit
-    for bit."""
-
-    def __init__(self, config: PackingConfiguration):
-        centers = config.centers
-        xs = [c[0] for c in centers]
-        ys = [c[1] for c in centers]
-        span = max(max(xs) - min(xs), max(ys) - min(ys))
-        target = span / math.sqrt(len(centers))
-        self.cell = math.ldexp(1.0, math.frexp(target)[1] - 1) if target > 0.0 else 1.0
-        self.centers = centers
-        self.n = len(centers)
-        self.distance = config.domain.distance
-        self.buckets = {}
-        for c in centers:
-            key = (math.floor(c[0] / self.cell), math.floor(c[1] / self.cell))
-            self.buckets.setdefault(key, []).append(c)
-
-    def nearest_distance(self, x, y):
-        cell = self.cell
-        qx, qy = math.floor(x / cell), math.floor(y / cell)
-        get = self.buckets.get
-        distance = self.distance
-        p = (x, y)
-        best = math.inf
-        seen = 0
-        r = 0
-        while True:
-            if r == 0:
-                ring = [(qx, qy)]
-            else:
-                ring = [(i, j) for i in range(qx - r, qx + r + 1) for j in (qy - r, qy + r)]
-                ring += [(i, j) for i in (qx - r, qx + r) for j in range(qy - r + 1, qy + r)]
-            for key in ring:
-                bucket = get(key)
-                if bucket:
-                    seen += len(bucket)
-                    for c in bucket:
-                        d = distance(p, c)
-                        if d < best:
-                            best = d
-            if seen == self.n or best <= r * cell:
-                return best
-            r += 1
-            if (2 * r + 1) ** 2 > self.n:
-                return min(distance(p, c) for c in self.centers)
-
-
 def largest_empty_circle(
     config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
 ):
@@ -1103,7 +1043,8 @@ def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
     lexicographically smallest canonical position. Box: the search region
     is the margin-shrunk rectangle, where the maximum sits at a Voronoi
     vertex, at an edge crossing of the region boundary, or at a region
-    corner; all three candidate families are examined."""
+    corner; all three candidate families are examined, each by its
+    nearest-center distance from a `_NeighborGrid` ring search."""
     config = diagram.config
     if config.domain.is_torus:
         best = min(
@@ -1133,10 +1074,10 @@ def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
         if t1 < 1.0:
             candidates.append((c2[0] + x0, c2[1] + y0))
     candidates.extend([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
-    nearest_distance = _CenterGrid(config).nearest_distance
+    nearest = _NeighborGrid(domain, config.centers).nearest
     best = None
     for (px, py) in candidates:
-        r = nearest_distance(px, py)
+        r = nearest((px, py))[0]
         item = (-r, px, py)
         if best is None or item < best:
             best = item

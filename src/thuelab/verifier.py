@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from thuelab import lattice
 from thuelab.geometry import (
     DEFAULT_TOL,
@@ -28,7 +26,7 @@ from thuelab.geometry import (
     polygon_area,
 )
 from thuelab.lattice import Basis2, HEX_MIN_DET
-from thuelab.packing import PackingConfiguration
+from thuelab.packing import PackingConfiguration, _NeighborGrid
 from thuelab.tessellation import (
     VoronoiCell,
     VoronoiDiagram,
@@ -170,27 +168,6 @@ ALL_CHECKS = (
 )
 
 
-def _center_arrays(config):
-    xs = np.array([p[0] for p in config.centers])
-    ys = np.array([p[1] for p in config.centers])
-    return xs, ys
-
-
-def _min_center_distances(config, positions):
-    """Vectorized nearest-center distance (torus metric when periodic) for
-    an (m, 2) array of query positions."""
-    xs, ys = _center_arrays(config)
-    qx = positions[:, 0][:, None]
-    qy = positions[:, 1][:, None]
-    dx = np.abs(qx - xs[None, :])
-    dy = np.abs(qy - ys[None, :])
-    if config.domain.is_torus:
-        w, h = config.domain.width, config.domain.height
-        dx = np.minimum(dx, w - dx)
-        dy = np.minimum(dy, h - dy)
-    return np.sqrt(dx * dx + dy * dy).min(axis=1)
-
-
 def _analysis_vertices(diagram: VoronoiDiagram):
     """Vertices taking part in the checks: all of them on a torus; on a box
     only those whose circumdisk stays inside the margin-shrunk rectangle."""
@@ -219,16 +196,18 @@ def _analysis_cells(diagram: VoronoiDiagram):
 def check_empty_circle(diagram: VoronoiDiagram) -> CheckResult:
     """Every vertex circumcircle must contain no center strictly inside and
     have diameter < 4; a diameter of 4 would leave room for one more unit
-    circle, contradicting saturation."""
+    circle, contradicting saturation. The nearest center of each vertex
+    comes from a `_NeighborGrid` ring search, so memory stays linear."""
     tol = diagram.tol
     vertices = _analysis_vertices(diagram)
     result = CheckResult("empty_circle", True, 0.0)
     if not vertices:
         return result
-    pos = np.array([[v.position[0], v.position[1]] for v in vertices])
-    nearest = _min_center_distances(diagram.config, pos)
+    config = diagram.config
+    nearest = _NeighborGrid(config.domain, config.centers).nearest
     max_diam = 0.0
-    for v, dmin in zip(vertices, nearest):
+    for v in vertices:
+        dmin = nearest(v.position)[0]
         diam = 2.0 * v.circumradius
         max_diam = max(max_diam, diam)
         if dmin < v.circumradius - tol.eps_merge:
@@ -278,7 +257,9 @@ def check_vertex_distance_angle(diagram: VoronoiDiagram) -> CheckResult:
 def check_nearest_edge(diagram: VoronoiDiagram) -> CheckResult:
     """The nearest neighbor of every center contributes an edge to its cell,
     and the segment between the two centers crosses that edge (tested via
-    the midpoint, which is where the segment meets the bisector)."""
+    the midpoint, which is where the segment meets the bisector). The
+    neighbor comes from a `_NeighborGrid` ring search; ties resolve to the
+    smallest index."""
     tol = diagram.tol
     config = diagram.config
     domain = config.domain
@@ -286,19 +267,11 @@ def check_nearest_edge(diagram: VoronoiDiagram) -> CheckResult:
     worst_gap = 0.0
     if config.n < 2:
         return result
-    xs, ys = _center_arrays(config)
+    nearest = _NeighborGrid(domain, config.centers).nearest
     for cell in _analysis_cells(diagram):
         i = cell.center_index
         ci = config.centers[i]
-        dx = np.abs(xs - ci[0])
-        dy = np.abs(ys - ci[1])
-        if domain.is_torus:
-            dx = np.minimum(dx, domain.width - dx)
-            dy = np.minimum(dy, domain.height - dy)
-        dists = np.hypot(dx, dy)
-        dists[i] = np.inf
-        j = int(np.argmin(dists))  # ties resolve to the smallest index
-        d_nn = float(dists[j])
+        d_nn, j = nearest(ci, skip=i)
         cj = config.centers[j]
         # minimum-image position of the nearest neighbor relative to ci
         dx, dy = cj[0] - ci[0], cj[1] - ci[1]

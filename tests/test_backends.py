@@ -3,6 +3,7 @@ identical triangulations (the same triangles in the same list order, which
 the tessellation depends on), identical predicate signs, on identical
 inputs."""
 
+import itertools
 import math
 import os
 import random
@@ -100,6 +101,28 @@ class TestTriangulatorContract:
         tri.add_point(2.0, 5.0)
         with pytest.raises(ValueError):
             tri.add_point(1.0, 1.0)
+        # the rejected point is not stored
+        assert tri.num_points == 2
+        assert tri.add_point(3.0, 3.0) == 2
+        assert tri.point(2) == (3.0, 3.0)
+        assert {v for t in tri.triangles() for v in t} == {0, 1, 2}
+
+    def test_underflowing_points_triangulate(self, module):
+        # two points far below 1 on a line through (0, 0); the filtered
+        # orient2d underflowed to 0 on them, and 6 of the 24 insertion
+        # orders failed as a "degenerate insertion"
+        pts = [
+            (0.0, 0.0),
+            (-1.292274289120069e-267, -2.261480005960121e-267),
+            (-1.1898943099553189e-296, -2.082315042421808e-296),
+            (-1.0, -1.75),
+        ]
+        bounds = (-25.0, -25.0, 25.0, 25.0)
+        for order in itertools.permutations(pts):
+            tri = _triangulate_with(module, order, bounds)
+            assert tri.num_points == 4
+            if _core is not None:
+                assert tri.triangles() == _triangulate_with(_core_py, order, bounds).triangles()
 
     def test_outside_bounds_rejected(self, module):
         tri = module.Triangulator((0.0, 0.0, 1.0, 1.0))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -7,6 +8,7 @@ from thuelab.geometry import DegenerateGeometryError, Point
 from thuelab.packing import (
     Domain,
     PackingConfiguration,
+    _NeighborGrid,
     gen_hexagonal,
     gen_random,
     gen_square,
@@ -207,3 +209,84 @@ class TestDensityProperty:
         for seed in (3, 4):
             cfg = greedy_saturate(gen_random(Domain("torus", 24.0, 24.0), seed=seed))
             assert cfg.density <= bound + 1e-9
+
+
+def _full_scan(domain, points, p, skip=-1):
+    return min(
+        ((domain.distance(p, q), i) for i, q in enumerate(points) if i != skip),
+        default=(math.inf, -1),
+    )
+
+
+class TestNeighborGridNearest:
+    """`_NeighborGrid.nearest` must return exactly what a scan over all
+    points returns: the same distance bits and, on exact ties, the
+    smallest index."""
+
+    def _check(self, cfg, queries, rng):
+        domain = cfg.domain
+        grid = _NeighborGrid(domain, cfg.centers)
+        for q in queries:
+            for skip in (-1, rng.randrange(cfg.n)):
+                assert grid.nearest(q, skip) == _full_scan(domain, cfg.centers, q, skip)
+
+    def _queries(self, cfg, rng, count=1500):
+        w, h = cfg.domain.width, cfg.domain.height
+        grid = _NeighborGrid(cfg.domain)
+        sx, sy = w / grid.ncx, h / grid.ncy
+        queries = [(rng.uniform(-3.0, w + 3.0), rng.uniform(-3.0, h + 3.0)) for _ in range(count)]
+        queries += list(cfg.centers)
+        # points on cell boundaries, and centers moved one cell side
+        queries += [(i * sx, j * sy) for i in range(grid.ncx + 1) for j in range(grid.ncy + 1)]
+        queries += [(c[0] + sx, c[1]) for c in cfg.centers]
+        return queries
+
+    @pytest.mark.parametrize("kind", ["torus", "box"])
+    def test_matches_full_scan(self, kind):
+        rng = random.Random(7)
+        cfg = gen_random(Domain(kind, 30.0, 26.0), seed=3)
+        self._check(cfg, self._queries(cfg, rng), rng)
+
+    def test_square_torus_ties_go_to_smaller_index(self, square_torus):
+        # every center has 4 neighbors at exactly 2.0
+        grid = _NeighborGrid(square_torus.domain, square_torus.centers)
+        for i, c in enumerate(square_torus.centers):
+            tied = [
+                j
+                for j, q in enumerate(square_torus.centers)
+                if j != i and square_torus.domain.distance(c, q) == 2.0
+            ]
+            assert len(tied) == 4
+            assert grid.nearest(c, skip=i) == (2.0, min(tied))
+        rng = random.Random(2)
+        self._check(square_torus, self._queries(square_torus, rng, 300), rng)
+
+    @pytest.mark.parametrize("width,height", [(5.0, 5.5), (4.5, 40.0), (30.0, 5.9), (6.5, 9.0)])
+    def test_small_torus_rings_wrap(self, width, height):
+        # 2 to 4 cells on an axis: rings wrap around onto themselves, and
+        # each cell must still be looked up at most once per query
+        class RecordingCells(dict):
+            keys = []
+
+            def get(self, key, default=None):
+                RecordingCells.keys.append(key)
+                return super().get(key, default)
+
+        rng = random.Random(5)
+        cfg = gen_random(Domain("torus", width, height), seed=9)
+        grid = _NeighborGrid(cfg.domain, cfg.centers)
+        assert min(grid.ncx, grid.ncy) < 4
+        grid.cells = RecordingCells(grid.cells)
+        for q in self._queries(cfg, rng, 300):
+            RecordingCells.keys = []
+            assert grid.nearest(q) == _full_scan(cfg.domain, cfg.centers, q)
+            assert len(set(RecordingCells.keys)) == len(RecordingCells.keys)
+        self._check(cfg, self._queries(cfg, rng, 300), rng)
+
+    def test_empty_and_single(self):
+        domain = Domain("torus", 10.0, 10.0)
+        grid = _NeighborGrid(domain)
+        assert grid.nearest((1.0, 1.0)) == (math.inf, -1)
+        grid.add((3.0, 4.0))
+        assert grid.nearest((3.0, 4.0), skip=0) == (math.inf, -1)
+        assert grid.nearest((9.0, 9.0)) == (domain.distance((9.0, 9.0), (3.0, 4.0)), 0)

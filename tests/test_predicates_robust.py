@@ -12,7 +12,7 @@ import random
 import pytest
 
 import oracles
-from thuelab import _core_py
+from thuelab import _core_py, _exact
 
 backends = [pytest.param(_core_py, id="python")]
 try:
@@ -87,3 +87,35 @@ def test_tiny_offsets_from_line(kernel):
     s1 = kernel.orient2d(0.0, 0.0, 1.0, 1.0, 2.0, 2.0 * up)
     s2 = kernel.orient2d(0.0, 0.0, 1.0, 1.0, 2.0, 2.0 * down)
     assert s1 == -s2 != 0
+
+
+def _scaled(args, rng):
+    """Scale each point by its own power of two, deep enough that the
+    filter's products fall into the subnormal range or underflow."""
+    out = []
+    for k in range(0, len(args), 2):
+        e = rng.choice((-480, -520, -560, -600, -1000, -1040, -1070)) + rng.choice((0, 0, 300, 600))
+        out.extend((math.ldexp(args[k], e), math.ldexp(args[k + 1], e)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kernel", backends)
+def test_predicates_under_underflow(kernel):
+    # a=(0,0) with b and c far below 1 on one line through a: the filter's
+    # products underflow to zero although the exact sign is -1
+    b = (-1.292274289120069e-267, -2.261480005960121e-267)
+    c = (-1.1898943099553189e-296, -2.082315042421808e-296)
+    assert _exact.orient2d(0.0, 0.0, *b, *c) == -1
+    assert kernel.orient2d(0.0, 0.0, *b, *c) == -1
+    # one product is exactly zero and the other underflows to zero
+    t = 1e-170
+    for args, sign in (((0.0, 0.0, 0.0, t, t, 0.0), -1), ((0.0, 0.0, t, 5.0, 0.0, t), 1)):
+        assert _exact.orient2d(*args) == sign
+        assert kernel.orient2d(*args) == sign
+    rng = random.Random(13)
+    for args in _near_collinear_cases(400, seed=14):
+        args = _scaled(args, rng)
+        assert kernel.orient2d(*args) == _exact.orient2d(*args)
+    for args in _near_cocircular_cases(400, seed=15):
+        args = _scaled(args, rng)
+        assert kernel.incircle(*args) == _exact.incircle(*args)

@@ -557,8 +557,7 @@ class TestSharedAssembly:
         assert named > 0
 
     def test_box_nearest_center_grid_matches_full_scan(self):
-        from thuelab.packing import gen_square
-        from thuelab.tessellation import _CenterGrid
+        from thuelab.packing import _NeighborGrid, gen_square
 
         rng = random.Random(11)
         configs = [
@@ -566,18 +565,19 @@ class TestSharedAssembly:
             gen_square(Domain("box", 20.0, 20.0, margin=4.0)),
         ]
         for cfg in configs:
-            grid = _CenterGrid(cfg)
+            grid = _NeighborGrid(cfg.domain, cfg.centers)
+            side = cfg.domain.width / grid.ncx
             queries = [(rng.uniform(-5.0, 35.0), rng.uniform(-5.0, 35.0)) for _ in range(2000)]
             # the centers, and points one cell from them (on cell
             # boundaries for the square grid)
             queries += list(cfg.centers)
-            queries += [(c[0] + grid.cell, c[1]) for c in cfg.centers]
-            for (x, y) in queries:
-                full = min(cfg.domain.distance((x, y), c) for c in cfg.centers)
-                assert grid.nearest_distance(x, y) == full
+            queries += [(c[0] + side, c[1]) for c in cfg.centers]
+            for q in queries:
+                full = min(cfg.domain.distance(q, c) for c in cfg.centers)
+                assert grid.nearest(q)[0] == full
 
     def test_box_nearest_center_grid_bounded_far_from_clustered_centers(self):
-        from thuelab.tessellation import _CenterGrid
+        from thuelab.packing import _NeighborGrid
 
         class CountingBuckets(dict):
             lookups = 0
@@ -587,14 +587,14 @@ class TestSharedAssembly:
                 return super().get(key, default)
 
         # Three centers about 2 apart in the middle of a 2000-wide box: the
-        # cell side is 1, so a corner query is ~1400 empty rings away.
+        # cell side is 2, so a corner query is ~700 empty rings away.
         cfg = PackingConfiguration(
             Domain("box", 2000.0, 2000.0), [(1000.0, 1000.0), (1002.0, 1000.5), (1001.0, 1002.0)]
         )
-        grid = _CenterGrid(cfg)
-        grid.buckets = CountingBuckets(grid.buckets)
-        for (x, y) in [(0.0, 0.0), (2000.0, 0.0), (0.0, 2000.0), (2000.0, 2000.0), (1001.0, 1001.0)]:
+        grid = _NeighborGrid(cfg.domain, cfg.centers)
+        grid.cells = CountingBuckets(grid.cells)
+        for q in [(0.0, 0.0), (2000.0, 0.0), (0.0, 2000.0), (2000.0, 2000.0), (1001.0, 1001.0)]:
             CountingBuckets.lookups = 0
-            full = min(cfg.domain.distance((x, y), c) for c in cfg.centers)
-            assert grid.nearest_distance(x, y) == full
+            full = min(cfg.domain.distance(q, c) for c in cfg.centers)
+            assert grid.nearest(q)[0] == full
             assert CountingBuckets.lookups <= cfg.n

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import pytest
 
 from thuelab.geometry import Point
 from thuelab.lattice import Basis2, det, lagrange_bound_check
-from thuelab.packing import Domain, gen_random, greedy_saturate
+from thuelab.packing import Domain, PackingConfiguration, gen_random, greedy_saturate, perturb
 from thuelab.tessellation import VoronoiVertex, build_diagram
 from thuelab.verifier import (
     HEX_DENSITY,
@@ -386,3 +387,22 @@ class TestCheckThue:
                     res = lagrange_bound_check(lt.basis)
                     assert res.hexagonal
                     assert 2.0 * lt.circumradius < 4.0 - 1e-3
+
+
+def test_empty_circle_memory_stays_linear():
+    # the 1512-center jittered hex torus of the verify-large benchmark
+    # workload (36 x 42 sites of spacing 2.3); a dense vertex x center
+    # distance matrix here traces about 140 MB
+    dy = 2.3 * SQRT3 / 2.0
+    sites = [((i + 0.5 * (j % 2)) * 2.3, j * dy) for j in range(42) for i in range(36)]
+    loose = PackingConfiguration(Domain("torus", 36 * 2.3, 42 * dy), tuple(sites))
+    diagram = build_diagram(perturb(loose, seed=1, magnitude=0.12))
+    assert diagram.config.n == 1512
+    tracemalloc.start()
+    try:
+        result = check_empty_circle(diagram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 16e6
