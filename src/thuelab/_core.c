@@ -635,56 +635,6 @@ Triangulator_add_point(Triangulator *self, PyObject *const *args, Py_ssize_t nar
 }
 
 static PyObject *
-Triangulator_add_points(Triangulator *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    PyObject *its[2] = {NULL, NULL};
-    PyObject *item[2] = {NULL, NULL};
-    PyObject *res;
-    double v[2];
-    int k, ok = 0;
-
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "add_points() takes exactly 2 arguments (%zd given)",
-                     nargs);
-        return NULL;
-    }
-    if ((its[0] = PyObject_GetIter(args[0])) == NULL
-        || (its[1] = PyObject_GetIter(args[1])) == NULL)
-        goto done;
-    /* zip(xs, ys): stop at the shorter input */
-    for (;;) {
-        for (k = 0; k < 2; k++) {
-            if ((item[k] = PyIter_Next(its[k])) == NULL) {
-                ok = !PyErr_Occurred();
-                goto done;
-            }
-        }
-        for (k = 0; k < 2; k++) {
-            v[k] = PyFloat_AsDouble(item[k]);
-            if (v[k] == -1.0 && PyErr_Occurred())
-                goto done;
-        }
-        Py_CLEAR(item[0]);
-        Py_CLEAR(item[1]);
-        if ((res = add_point(self, v[0], v[1])) == NULL)
-            goto done;
-        Py_DECREF(res);
-    }
-done:
-    for (k = 0; k < 2; k++) {
-        Py_XDECREF(item[k]);
-        Py_XDECREF(its[k]);
-    }
-    return ok ? Py_NewRef(Py_None) : NULL;
-}
-
-static PyObject *
-point_tuple(const Pt *p)
-{
-    return Py_BuildValue("(dd)", p->x, p->y);
-}
-
-static PyObject *
 Triangulator_point(Triangulator *self, PyObject *arg)
 {
     /* index like the pure kernel's list: point i is stored at i + 3 */
@@ -700,26 +650,7 @@ Triangulator_point(Triangulator *self, PyObject *arg)
         PyErr_SetString(PyExc_IndexError, "point index out of range");
         return NULL;
     }
-    return point_tuple(&AT(self->pts, Pt)[i]);
-}
-
-static PyObject *
-Triangulator_super_vertices(Triangulator *self, PyObject *unused)
-{
-    PyObject *out = PyList_New(3);
-    PyObject *item;
-    int k;
-
-    if (out == NULL)
-        return NULL;
-    for (k = 0; k < 3; k++) {
-        if ((item = point_tuple(&AT(self->pts, Pt)[k])) == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, k, item);
-    }
-    return out;
+    return Py_BuildValue("(dd)", AT(self->pts, Pt)[i].x, AT(self->pts, Pt)[i].y);
 }
 
 static PyObject *
@@ -758,12 +689,8 @@ static PyMethodDef Triangulator_methods[] = {
     {"add_point", (PyCFunction)(void (*)(void))Triangulator_add_point, METH_FASTCALL,
      "add_point($self, x, y, /)\n--\n\nInsert a point and restore the Delaunay property. "
      "Returns its index."},
-    {"add_points", (PyCFunction)(void (*)(void))Triangulator_add_points, METH_FASTCALL,
-     "add_points($self, xs, ys, /)\n--\n\nInsert a sequence of points in the given order."},
     {"point", (PyCFunction)Triangulator_point, METH_O,
      "point($self, i, /)\n--\n\nCoordinates of user point i."},
-    {"super_vertices", (PyCFunction)Triangulator_super_vertices, METH_NOARGS,
-     "Coordinates of the three synthetic enclosing vertices."},
     {"triangles", (PyCFunction)Triangulator_triangles, METH_NOARGS,
      "Alive finite triangles as CCW triples of user point indices."},
     {NULL, NULL, 0, NULL},

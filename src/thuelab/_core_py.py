@@ -149,10 +149,6 @@ class Triangulator:
         """Coordinates of user point i."""
         return self._px[i + 3], self._py[i + 3]
 
-    def super_vertices(self):
-        """Coordinates of the three synthetic enclosing vertices."""
-        return [(self._px[k], self._py[k]) for k in range(3)]
-
     def triangles(self):
         """Alive finite triangles as CCW triples of user point indices."""
         tv = self._tv
@@ -186,11 +182,6 @@ class Triangulator:
             del px[pid], py[pid]
             raise
         return pid - 3
-
-    def add_points(self, xs, ys):
-        """Insert a sequence of points in the given order."""
-        for x, y in zip(xs, ys):
-            self.add_point(x, y)
 
     def _locate(self, x, y):
         tv = self._tv

@@ -6,7 +6,6 @@ triangulator) exist twice: a compiled C extension (``_core.c``, built by
 import time:
 
 * ``THUE_LAB_BACKEND=c``       require the compiled kernel, fail otherwise
-  (``compiled`` and ``cython`` are accepted as aliases)
 * ``THUE_LAB_BACKEND=python``  force the pure-Python kernel
 * unset / ``auto``             compiled if importable, else pure Python
 
@@ -22,9 +21,9 @@ if _requested in ("", "auto"):
         from thuelab import _core as _impl
     except ImportError:
         from thuelab import _core_py as _impl
-elif _requested in ("c", "compiled", "cython"):
+elif _requested == "c":
     from thuelab import _core as _impl
-elif _requested in ("python", "pure"):
+elif _requested == "python":
     from thuelab import _core_py as _impl
 else:
     raise RuntimeError(

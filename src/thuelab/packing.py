@@ -153,9 +153,13 @@ class _NeighborGrid:
             self.add(p)
 
     def _cell(self, x, y):
+        domain = self.domain
+        if self.torus and not (0.0 <= x < domain.width and 0.0 <= y < domain.height):
+            # a torus point outside the rectangle belongs to its wrapped cell
+            x, y = domain.wrap(x, y)
         ncx, ncy = self.ncx, self.ncy
-        cx = int(x / self.domain.width * ncx)
-        cy = int(y / self.domain.height * ncy)
+        cx = int(x / domain.width * ncx)
+        cy = int(y / domain.height * ncy)
         # clamped by conditionals, which cost less than min/max calls
         return (
             0 if cx < 0 else ncx - 1 if cx >= ncx else cx,
@@ -214,14 +218,10 @@ class _NeighborGrid:
         cell sides away, so the search stops once the best distance is
         within that, less the slack. Once the cells visited would outnumber
         the points, it scans all points instead."""
-        domain = self.domain
-        x, y = p[0], p[1]
-        if self.torus and not (0.0 <= x < domain.width and 0.0 <= y < domain.height):
-            x, y = domain.wrap(x, y)
-        cx, cy, lo_x, hi_x, lo_y, hi_y = self._offsets(x, y)
+        cx, cy, lo_x, hi_x, lo_y, hi_y = self._offsets(p[0], p[1])
         ncx, ncy = self.ncx, self.ncy
         points = self.points
-        distance = domain.distance
+        distance = self.domain.distance
         get = self.cells.get
         best, best_i = math.inf, -1
         r = 1

@@ -7,7 +7,9 @@ representative of each periodic structure. Correctness of the replication
 is *checked*, not assumed: every collected circumradius must stay below
 k * min(width, height) / 2, and the canonical cocircular polygons must tile
 the torus rectangle exactly; if either fails, k grows and the block is
-rebuilt. Box configurations are triangulated directly.
+rebuilt. Box configurations are triangulated directly, and the result is
+verified with exact predicates at every size: each interior edge must be
+locally Delaunay and the triangles must cover the convex hull.
 
 Both domains then share one vertex assembly (`_assemble_vertices`): each
 Delaunay triangle is a triple of labelled centers (center index plus
@@ -18,9 +20,15 @@ cocircular configurations (square grids) into degenerate vertices of
 degree >= 4. The center -> vertex incidence of the merged vertices gives
 the torus cells directly and names the corners of the clipped box cells.
 
-The largest empty circle has two routes. `TorusScanner` scans the torus
-block without assembling edges and cells, and keeps the block alive so
-saturation can insert centers incrementally.
+A build has one product, the `VoronoiDiagram`. It keeps the triangle
+lists of its Delaunay dual, and a `Triangulation` is a view on them:
+`delaunay` returns the view of a fresh diagram and `voronoi_dual` the
+diagram behind a view, so the two never refer to each other in a cycle.
+
+The largest empty circle has two routes. `TorusScanner` scans the
+validated torus block (`_validated_block`) without assembling edges and
+cells, and keeps the block alive so saturation can insert centers
+incrementally.
 `_diagram_largest_empty_circle` reads the circle off a diagram that is
 already built (the verifier's), for either domain; a box has no
 incremental scan, so `largest_empty_circle` builds the diagram for it.
@@ -63,6 +71,7 @@ __all__ = [
 ]
 
 _MAX_RINGS = 8
+_ZERO_SHIFTS = ((0, 0), (0, 0), (0, 0))  # lattice shifts of a box triangle
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +131,20 @@ class VoronoiCell:
     analyzable: bool
 
 
-@dataclass
 class Triangulation:
     """Delaunay triangles as CCW center-index triples.
 
     On a torus each triple carries per-vertex integer lattice shifts (the
     torus lift) and concrete coordinates near the Voronoi vertex it
     belongs to; `neighbors[t][k]` is the triangle across the edge opposite
-    vertex k (-1 on a box hull edge)."""
+    vertex k (-1 on a box hull edge). A view on the triangle lists of the
+    diagram it came from, which `voronoi_dual` returns."""
 
-    config: PackingConfiguration
-    tol: ToleranceConfig
-    triangles: list
-    shifts: list
-    points: list
-    neighbors: list
-    _structure: object = field(repr=False, default=None)
+    def __init__(self, diagram: "VoronoiDiagram"):
+        self._diagram = diagram
+        self.config = diagram.config
+        self.tol = diagram.tol
+        self.triangles, self.shifts, self.points, self.neighbors = diagram._triangles
 
     @property
     def n_triangles(self) -> int:
@@ -149,14 +156,22 @@ class Triangulation:
 
 @dataclass
 class VoronoiDiagram:
+    """The one product of a build: Voronoi vertices, edges and cells, plus
+    the (triples, shifts, points, neighbors) lists of the dual Delaunay
+    triangulation that `.triangulation` views."""
+
     config: PackingConfiguration
     tol: ToleranceConfig
     vertices: list
     edges: list
     cells: list
-    triangulation: Triangulation
+    _triangles: tuple = field(repr=False)
     excluded_cells: int = 0
     _incidence: dict = field(default=None, repr=False)
+
+    @property
+    def triangulation(self) -> Triangulation:
+        return Triangulation(self)
 
     def cell_area_sum(self) -> float:
         return sum(c.area for c in self.cells)
@@ -407,6 +422,20 @@ def _incident_vertices(config, vertices):
     return incident
 
 
+def _in_analysis_region(domain, v) -> bool:
+    """Whether the circumdisk of vertex v lies inside the box shrunk by the
+    margin: only such vertices, and the cells all of whose corners are
+    such, take part in the checks."""
+    m, r = domain.margin, v.circumradius
+    x, y = v.position
+    return (
+        m <= x - r
+        and x + r <= domain.width - m
+        and m <= y - r
+        and y + r <= domain.height - m
+    )
+
+
 # ---------------------------------------------------------------------------
 # torus construction
 
@@ -491,23 +520,6 @@ class _TorusBlock:
         return Point(float(rx[best]), float(ry[best])), float(r[best])
 
 
-@dataclass
-class _Structure:
-    """Everything derived from one tessellation build."""
-
-    config: PackingConfiguration
-    tol: ToleranceConfig
-    vertices: list
-    tri_triples: list
-    tri_shifts: list
-    tri_points: list
-    tri_neighbors: list
-    edges: list
-    cells: list
-    excluded_cells: int
-    block: object = None  # torus only
-
-
 def _torus_vertices(config, tol, block):
     """Merged Voronoi vertices of the torus from the replicated block.
 
@@ -540,7 +552,9 @@ def _fan_triangulation(vertices):
 
 def _triangle_neighbors(triples, shifts, closed: bool):
     """Adjacency from translation-invariant edge keys. On a torus (closed)
-    every edge must appear exactly twice."""
+    every edge must appear exactly twice. Returns the neighbor triples and
+    the edge map: key -> [(triangle, index of the opposite corner)], in
+    triangle order."""
     edge_map = {}
     for t, (tri, sh) in enumerate(zip(triples, shifts)):
         for k in range(3):
@@ -557,10 +571,10 @@ def _triangle_neighbors(triples, shifts, closed: bool):
             raise DegenerateGeometryError(
                 f"inconsistent triangle adjacency at edge {key}"
             )
-    return [tuple(nb) for nb in neighbors]
+    return [tuple(nb) for nb in neighbors], edge_map
 
 
-def _torus_edges(config, tol, vertices):
+def _torus_edges(vertices):
     """Voronoi edges from consecutive generator pairs around each vertex."""
     sides = {}
     for v in vertices:
@@ -609,7 +623,7 @@ def _torus_edges(config, tol, vertices):
     return edges
 
 
-def _torus_cells(config, tol, vertices):
+def _torus_cells(config, vertices):
     w, h = config.domain.width, config.domain.height
     cells = []
     for i, incident in enumerate(_incident_vertices(config, vertices)):
@@ -638,13 +652,11 @@ def _torus_cells(config, tol, vertices):
     return cells
 
 
-def _build_torus(
-    config: PackingConfiguration, tol: ToleranceConfig, vertices_only: bool = False
-) -> _Structure:
-    """Build the torus structure, growing the replication ring count until
-    the construction validates. With vertices_only (saturation scans of
-    possibly very sparse configurations) the cell/edge assembly is skipped:
-    cells are undefined while a cell can wrap around the torus onto itself."""
+def _validated_block(config: PackingConfiguration, tol: ToleranceConfig):
+    """The replicated block and the merged Voronoi vertices of a torus,
+    growing the replication ring count until the construction validates.
+    Saturation scans stop here: edges and cells stay undefined while a
+    cell of a sparse configuration can wrap around the torus onto itself."""
     last_error = None
     for k in range(1, _MAX_RINGS + 1):
         block = _TorusBlock(config, k)
@@ -653,30 +665,25 @@ def _build_torus(
         except DegenerateGeometryError as exc:
             last_error = exc
             continue
-        if vertices is None:
-            continue
-        triples, shifts, points, neighbors, edges, cells = [], [], [], [], [], []
-        if not vertices_only:
-            triples, shifts, points = _fan_triangulation(vertices)
-            neighbors = _triangle_neighbors(triples, shifts, closed=True)
-            edges = _torus_edges(config, tol, vertices)
-            cells = _torus_cells(config, tol, vertices)
-        return _Structure(
-            config=config,
-            tol=tol,
-            vertices=vertices,
-            tri_triples=triples,
-            tri_shifts=shifts,
-            tri_points=points,
-            tri_neighbors=neighbors,
-            edges=edges,
-            cells=cells,
-            excluded_cells=0,
-            block=block,
-        )
+        if vertices is not None:
+            return block, vertices
     raise DegenerateGeometryError(
         f"could not validate a periodic triangulation with up to {_MAX_RINGS} "
         f"replication rings{f': {last_error}' if last_error else ''}"
+    )
+
+
+def _build_torus(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDiagram:
+    _, vertices = _validated_block(config, tol)
+    triples, shifts, points = _fan_triangulation(vertices)
+    neighbors, _ = _triangle_neighbors(triples, shifts, closed=True)
+    return VoronoiDiagram(
+        config=config,
+        tol=tol,
+        vertices=vertices,
+        edges=_torus_edges(vertices),
+        cells=_torus_cells(config, vertices),
+        _triangles=(triples, shifts, points, neighbors),
     )
 
 
@@ -724,16 +731,17 @@ def _clip_segment_rect(ax, ay, bx, by, w, h):
     return (ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy), t0, t1
 
 
-def _verify_box_delaunay(config, tris):
-    """Exact empty-circumcircle and hull-coverage verification (small n)."""
+def _verify_box_delaunay(config, tris, edge_map):
+    """Exact Delaunay verification: every interior edge is locally Delaunay
+    (the far corner of its second triangle is not strictly inside the
+    circumcircle of its first), and the triangles cover the convex hull.
+    By the Delaunay lemma the two together make every circumcircle empty."""
     centers = config.centers
-    n = len(centers)
-    for (a, b, c) in tris:
-        pa, pb, pc = centers[a], centers[b], centers[c]
-        for d in range(n):
-            if d in (a, b, c):
-                continue
-            pd = centers[d]
+    for uses in edge_map.values():
+        if len(uses) == 2:
+            (t, _), (u, k) = uses
+            pa, pb, pc = (centers[i] for i in tris[t])
+            pd = centers[tris[u][k]]
             if (
                 backend.incircle(
                     pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], pd[0], pd[1]
@@ -770,6 +778,8 @@ def _verify_box_delaunay(config, tris):
 
 
 def _box_triangulate(config):
+    """Verified Delaunay triangles of a box configuration, with their
+    neighbors and edge map (see `_triangle_neighbors`)."""
     xs = [p[0] for p in config.centers]
     ys = [p[1] for p in config.centers]
     inflate = 1.0
@@ -787,22 +797,23 @@ def _box_triangulate(config):
             perm.append(pos)
         raw = tri.triangles()
         tris = [(perm[a], perm[b], perm[c]) for (a, b, c) in raw]
-        if config.n > 256 or _verify_box_delaunay(config, tris):
-            return tris
+        neighbors, edge_map = _triangle_neighbors(
+            tris, [_ZERO_SHIFTS] * len(tris), closed=False
+        )
+        if _verify_box_delaunay(config, tris, edge_map):
+            return tris, neighbors, edge_map
         inflate *= 1024.0
     raise DegenerateGeometryError("could not build a verified Delaunay triangulation")
 
 
-def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure:
+def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDiagram:
     domain = config.domain
     w, h = domain.width, domain.height
     centers = config.centers
-    tris = _box_triangulate(config)
-    shifts = [((0, 0), (0, 0), (0, 0))] * len(tris)
+    tris, neighbors, edge_map = _box_triangulate(config)
     points = [
         (centers[a], centers[b], centers[c]) for (a, b, c) in tris
     ]
-    neighbors = _triangle_neighbors(tris, shifts, closed=False)
 
     tri_ids = np.asarray(tris, dtype=np.intp)
     ccx, ccy, _ = _circumdata(
@@ -812,30 +823,28 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
     labels = [(i, 0, 0) for i in range(config.n)]
     vertices, tri_vertex = _assemble_vertices(config, tol, tris, labels, ccx, ccy)
 
-    # Voronoi edges from the Delaunay edges
-    edge_map = {}
-    for t, tri in enumerate(tris):
-        for k in range(3):
-            a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            key = (min(a, b), max(a, b))
-            edge_map.setdefault(key, []).append(t)
+    # Voronoi edges from the Delaunay edges; their generators are the
+    # Delaunay neighbors that bound the cells below
+    neighbor_sets = [set() for _ in range(config.n)]
     edges = []
     for key in sorted(edge_map):
-        inc = edge_map[key]
-        i, j = key
+        uses = edge_map[key]
+        i, j = key[0], key[1]
+        neighbor_sets[i].add(j)
+        neighbor_sets[j].add(i)
         gpts = (centers[i], centers[j])
-        va = tri_vertex[inc[0]]
+        t, k = uses[0]
+        va = tri_vertex[t]
         p1 = vertices[va].position
-        if len(inc) == 2:
-            vb = tri_vertex[inc[1]]
+        if len(uses) == 2:
+            vb = tri_vertex[uses[1][0]]
             if va == vb:
                 continue  # diagonal inside a cocircular polygon, zero length
             p2 = vertices[vb].position
         else:
             # hull edge: infinite ray from the single circumcenter, clipped
             vb = -1
-            third = next(v for v in tris[inc[0]] if v not in key)
-            ci, cj, ck = centers[i], centers[j], centers[third]
+            ci, cj, ck = centers[i], centers[j], centers[tris[t][k]]
             dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
             norm = math.hypot(dx, dy)
             dx, dy = dx / norm, dy / norm
@@ -856,7 +865,7 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
         edges.append(
             VoronoiEdge(
                 index=len(edges),
-                generators=key,
+                generators=(i, j),
                 vertex_indices=(va, vb),
                 endpoints=endpoints,
                 generator_points=gpts,
@@ -867,12 +876,7 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
 
     # cells: domain rectangle intersected with the bisector half-planes of
     # the Delaunay neighbors
-    neighbor_sets = {i: set() for i in range(config.n)}
-    for (a, b) in edge_map:
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
     incident = _incident_vertices(config, vertices)
-    shrink = domain.margin
     cells = []
     excluded = 0
     for i in range(config.n):
@@ -905,18 +909,8 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
                 if d < bestd:
                     best, bestd = v.index, d
             vidx.append(best)
-            if best < 0:
+            if best < 0 or not _in_analysis_region(domain, vertices[best]):
                 analyzable = False
-            else:
-                vtx = vertices[best]
-                r = vtx.circumradius
-                if not (
-                    shrink <= vtx.position[0] - r
-                    and vtx.position[0] + r <= w - shrink
-                    and shrink <= vtx.position[1] - r
-                    and vtx.position[1] + r <= h - shrink
-                ):
-                    analyzable = False
         if not analyzable:
             excluded += 1
         cells.append(
@@ -930,16 +924,13 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
             )
         )
 
-    return _Structure(
+    return VoronoiDiagram(
         config=config,
         tol=tol,
         vertices=vertices,
-        tri_triples=tris,
-        tri_shifts=shifts,
-        tri_points=points,
-        tri_neighbors=neighbors,
         edges=edges,
         cells=cells,
+        _triangles=(tris, [_ZERO_SHIFTS] * len(tris), points, neighbors),
         excluded_cells=excluded,
     )
 
@@ -948,7 +939,12 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> _Structure
 # public API
 
 
-def _build_structure(config, tol):
+def build_diagram(
+    config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
+) -> VoronoiDiagram:
+    """Validate the packing and build its Voronoi diagram together with
+    the dual Delaunay triangulation (canonical torus triangles on a
+    periodic domain)."""
     _require_usable(config, tol)
     if config.domain.is_torus:
         return _build_torus(config, tol)
@@ -958,39 +954,14 @@ def _build_structure(config, tol):
 def delaunay(
     config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
 ) -> Triangulation:
-    """Delaunay triangulation of the configuration (canonical torus
-    triangles on a periodic domain)."""
-    s = _build_structure(config, tol)
-    return Triangulation(
-        config=config,
-        tol=tol,
-        triangles=s.tri_triples,
-        shifts=s.tri_shifts,
-        points=s.tri_points,
-        neighbors=s.tri_neighbors,
-        _structure=s,
-    )
+    """Delaunay triangulation of the configuration, a view on its diagram."""
+    return build_diagram(config, tol).triangulation
 
 
 def voronoi_dual(tri: Triangulation) -> VoronoiDiagram:
-    """Voronoi diagram dual to a triangulation: circumcenters merged within
-    eps_merge become the vertices, cells assemble CCW around each center."""
-    s = tri._structure
-    return VoronoiDiagram(
-        config=tri.config,
-        tol=tri.tol,
-        vertices=s.vertices,
-        edges=s.edges,
-        cells=s.cells,
-        triangulation=tri,
-        excluded_cells=s.excluded_cells,
-    )
-
-
-def build_diagram(
-    config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
-) -> VoronoiDiagram:
-    return voronoi_dual(delaunay(config, tol))
+    """Voronoi diagram dual to a triangulation: the diagram it was built
+    with, whose vertices are circumcenters merged within eps_merge."""
+    return tri._diagram
 
 
 def classify_vertex(v: VoronoiVertex) -> str:
@@ -998,7 +969,7 @@ def classify_vertex(v: VoronoiVertex) -> str:
     return "regular" if v.degree == 3 else "degenerate"
 
 
-def classify_edge_pitteway(e: VoronoiEdge, config=None) -> str:
+def classify_edge_pitteway(e: VoronoiEdge) -> str:
     """An edge is a Pitteway edge when the closed segment between its two
     generating centers meets the closed edge segment."""
     return _pitteway_label(e.generator_points, e.endpoints)
@@ -1013,8 +984,7 @@ class TorusScanner:
     def __init__(self, config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
         if not config.domain.is_torus:
             raise ValueError("TorusScanner requires a torus domain")
-        self._structure = _build_torus(config, tol, vertices_only=True)
-        self._block = self._structure.block
+        self._block, _ = _validated_block(config, tol)
 
     def max_empty(self):
         return self._block.max_empty()

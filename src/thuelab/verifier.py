@@ -31,7 +31,9 @@ from thuelab.tessellation import (
     VoronoiCell,
     VoronoiDiagram,
     _diagram_largest_empty_circle,
+    _in_analysis_region,
     build_diagram,
+    largest_empty_circle,
 )
 
 __all__ = [
@@ -174,19 +176,7 @@ def _analysis_vertices(diagram: VoronoiDiagram):
     domain = diagram.config.domain
     if domain.is_torus:
         return list(diagram.vertices)
-    m = domain.margin
-    w, h = domain.width, domain.height
-    out = []
-    for v in diagram.vertices:
-        r = v.circumradius
-        if (
-            m <= v.position[0] - r
-            and v.position[0] + r <= w - m
-            and m <= v.position[1] - r
-            and v.position[1] + r <= h - m
-        ):
-            out.append(v)
-    return out
+    return [v for v in diagram.vertices if _in_analysis_region(domain, v)]
 
 
 def _analysis_cells(diagram: VoronoiDiagram):
@@ -399,8 +389,27 @@ def _merge(into: CheckResult, single: CheckResult, reduce_max: bool):
         into.extremal = min(into.extremal, single.extremal)
 
 
-def _unconstructible_report(config, tol, selected, pos, radius) -> Report:
+def _report_header(config, tol) -> dict:
+    """The `n`, `domain`, `density` and `tolerances` fields of a report."""
     domain = config.domain
+    return {
+        "n": config.n,
+        "domain": {
+            "kind": domain.kind,
+            "width": domain.width,
+            "height": domain.height,
+            "margin": domain.margin,
+        },
+        "density": config.density,
+        "tolerances": {
+            "eps_eq": tol.eps_eq,
+            "eps_merge": tol.eps_merge,
+            "eps_area": tol.eps_area,
+        },
+    }
+
+
+def _unconstructible_report(config, tol, selected, pos, radius) -> Report:
     checks = []
     if "saturation" in selected:
         sat = CheckResult("saturation", False, radius)
@@ -410,24 +419,12 @@ def _unconstructible_report(config, tol, selected, pos, radius) -> Report:
         if cid != "saturation" and cid in selected:
             checks.append(CheckResult(cid, False, None, skipped=True))
     return Report(
-        n=config.n,
-        domain={
-            "kind": domain.kind,
-            "width": domain.width,
-            "height": domain.height,
-            "margin": domain.margin,
-        },
-        density=config.density,
+        **_report_header(config, tol),
         saturated=False,
         saturation_witness={"pos": [pos[0], pos[1]], "radius": radius},
         checks=checks,
         l_triangles={"count": 0, "min_area": 0.0, "max_area": 0.0},
         verdict=False,
-        tolerances={
-            "eps_eq": tol.eps_eq,
-            "eps_merge": tol.eps_merge,
-            "eps_area": tol.eps_area,
-        },
     )
 
 
@@ -455,10 +452,9 @@ def check_thue(
         except DegenerateGeometryError:
             # far-from-saturated torus configurations can defeat the cell
             # assembly (a cell may wrap around onto itself); the saturation
-            # verdict is still well defined through the vertices-only path,
-            # so report that failure and mark everything else skipped
-            from thuelab.tessellation import largest_empty_circle
-
+            # verdict is still well defined through the block scan of
+            # `largest_empty_circle`, so report that failure and mark
+            # everything else skipped
             pos, radius = largest_empty_circle(config, tol)
             if radius < 2.0 - tol.eps_eq:
                 raise  # genuinely broken construction, not just sparsity
@@ -561,23 +557,11 @@ def check_thue(
 
     verdict = all(c.passed for c in results)
     return Report(
-        n=config.n,
-        domain={
-            "kind": domain.kind,
-            "width": domain.width,
-            "height": domain.height,
-            "margin": domain.margin,
-        },
-        density=config.density,
+        **_report_header(config, tol),
         saturated=saturated,
         saturation_witness=witness,
         checks=results,
         l_triangles=stats,
         verdict=verdict,
-        tolerances={
-            "eps_eq": tol.eps_eq,
-            "eps_merge": tol.eps_merge,
-            "eps_area": tol.eps_area,
-        },
         excluded_cells=diagram.excluded_cells,
     )

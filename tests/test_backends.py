@@ -350,6 +350,21 @@ def test_backend_selection_env(monkeypatch):
     importlib.reload(backend_mod)
 
 
+@pytest.mark.parametrize("value", ["compiled", "cython", "pure"])
+def test_backend_selection_rejects_old_aliases(monkeypatch, value):
+    import importlib
+
+    import thuelab.backend as backend_mod
+
+    monkeypatch.setenv("THUE_LAB_BACKEND", value)
+    try:
+        with pytest.raises(RuntimeError, match="expected 'auto', 'c' or 'python'"):
+            importlib.reload(backend_mod)
+    finally:
+        monkeypatch.delenv("THUE_LAB_BACKEND")
+        importlib.reload(backend_mod)
+
+
 def test_pure_python_fallback_is_complete():
     # the pure kernel exposes the full kernel API
     for name in ("orient2d", "incircle", "Triangulator", "BACKEND_NAME"):

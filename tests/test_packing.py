@@ -64,6 +64,14 @@ class TestValidate:
         kinds = {x.kind for x in validate(cfg)}
         assert "outside" in kinds
 
+    def test_torus_center_outside_rectangle_wraps(self):
+        # (-3, 5) wraps to (17, 5), 1.5 from (15.5, 5): the pair must be
+        # found although the first centre also lies outside the rectangle
+        cfg = PackingConfiguration(Domain("torus", 20.0, 20.0), ((-3.0, 5.0), (15.5, 5.0)))
+        v = validate(cfg)
+        assert [(x.kind, x.indices) for x in v] == [("outside", (0,)), ("pair", (0, 1))]
+        assert v[1].value == pytest.approx(1.5)
+
 
 class TestGenerators:
     def test_hexagonal_golden(self, hex_torus):
@@ -290,3 +298,4 @@ class TestNeighborGridNearest:
         grid.add((3.0, 4.0))
         assert grid.nearest((3.0, 4.0), skip=0) == (math.inf, -1)
         assert grid.nearest((9.0, 9.0)) == (domain.distance((9.0, 9.0), (3.0, 4.0)), 0)
+

@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from thuelab import backend
-from thuelab.geometry import Point
+from thuelab.geometry import Point, polygon_area
 from thuelab.packing import Domain, PackingConfiguration, gen_random, perturb
 from thuelab.tessellation import (
     TorusScanner,
@@ -598,3 +598,115 @@ class TestSharedAssembly:
             full = min(cfg.domain.distance(q, c) for c in cfg.centers)
             assert grid.nearest(q)[0] == full
             assert CountingBuckets.lookups <= cfg.n
+
+
+class TestBoxDelaunayCheck:
+    """The box triangulation is verified exactly at every size: each
+    interior edge locally Delaunay, plus hull coverage."""
+
+    def test_runs_above_256_centers(self, monkeypatch):
+        # a perturbed 16 x 17 hex lattice: the first triangulation of these
+        # 272 centres misses a hull triangle, which only the check notices
+        from thuelab import tessellation
+
+        sites = [
+            (0.75 + (i + 0.5 * (j % 2)) * 2.5, 0.75 + j * 2.5 * SQRT3 / 2.0)
+            for j in range(17)
+            for i in range(16)
+        ]
+        loose = PackingConfiguration(Domain("box", 40.0, 40.0, margin=4.0), tuple(sites))
+        cfg = perturb(loose, seed=18, magnitude=0.12)
+        verdicts = []
+        real = tessellation._verify_box_delaunay
+
+        def recording(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(tessellation, "_verify_box_delaunay", recording)
+        tri = delaunay(cfg)
+        assert verdicts == [False, True]
+
+        def half_hull(points):
+            hull = []
+            for p in points:
+                while len(hull) >= 2 and backend.orient2d(*hull[-2], *hull[-1], *p) <= 0:
+                    hull.pop()
+                hull.append(p)
+            return hull[:-1]
+
+        pts = sorted(cfg.centers)
+        hull = half_hull(pts) + half_hull(pts[::-1])
+        assert tri.triangle_area_sum() == pytest.approx(polygon_area(hull), rel=1e-12)
+        assert tri.n_triangles == 2 * cfg.n - 2 - len(hull)
+
+    def test_rejects_one_flipped_edge(self):
+        from thuelab.tessellation import _ZERO_SHIFTS, _triangle_neighbors, _verify_box_delaunay
+
+        cfg = gen_random(Domain("box", 15.0, 15.0), seed=31, max_failures=200)
+        pts = cfg.centers
+
+        def edge_map(tris):
+            return _triangle_neighbors(tris, [_ZERO_SHIFTS] * len(tris), closed=False)[1]
+
+        def check(tris):
+            return _verify_box_delaunay(cfg, tris, edge_map(tris))
+
+        tris = delaunay(cfg).triangles
+        assert check(tris)
+        # flipping any interior edge of a convex quadrilateral keeps the hull
+        # covered, so only the local test can notice
+        flipped = 0
+        for uses in edge_map(tris).values():
+            if len(uses) != 2:
+                continue
+            (t, k), (u, l) = uses
+            p, e1, e2 = tris[t][k], tris[t][(k + 1) % 3], tris[t][(k + 2) % 3]
+            q = tris[u][l]
+            new = [(p, e1, q), (q, e2, p)]
+            if any(
+                backend.orient2d(*pts[a], *pts[b], *pts[c]) <= 0 for (a, b, c) in new
+            ):
+                continue  # not a convex quadrilateral: the flip is not a triangulation
+            bad = [x for s, x in enumerate(tris) if s not in (t, u)] + new
+            assert not check(bad)
+            flipped += 1
+        assert flipped > 10
+
+
+class TestOneBuildProduct:
+    """A build returns one diagram; the triangulation is a view on it, and
+    neither holds the other in a reference cycle."""
+
+    def test_delaunay_and_voronoi_dual_share_one_diagram(self, hex_torus):
+        tri = delaunay(hex_torus)
+        dia = voronoi_dual(tri)
+        assert dia.triangulation.triangles is tri.triangles
+        assert voronoi_dual(dia.triangulation) is dia
+
+    @pytest.mark.parametrize("kind", ["torus", "box"])
+    def test_no_reference_cycle(self, kind):
+        import gc
+        import weakref
+
+        from thuelab.verifier import check_thue
+
+        if kind == "torus":
+            cfg = gen_random(Domain("torus", 16.0, 16.0), seed=5)
+        else:
+            cfg = gen_random(Domain("box", 15.0, 15.0), seed=31, max_failures=200)
+        gc.disable()
+        try:
+            dia = build_diagram(cfg)
+            check_thue(cfg, diagram=dia)  # fills the diagram's caches
+            dia_ref = weakref.ref(dia)
+            del dia
+            assert dia_ref() is None
+
+            tri = delaunay(cfg)
+            tri.triangle_area_sum()
+            behind_ref = weakref.ref(voronoi_dual(tri))
+            del tri
+            assert behind_ref() is None
+        finally:
+            gc.enable()
