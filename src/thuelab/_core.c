@@ -285,7 +285,8 @@ typedef struct {
     Vec free_list; /* int, dead triangle slots, reused last-in first-out */
     long long stamp;
     int hint;
-    /* scratch of one insertion */
+    /* scratch of one insertion; new_ids also holds the slots the last
+     * successful insertion wrote, which created_slots reports */
     Vec stack, cavity, order, new_ids; /* int */
     Vec boundary;                      /* BEdge */
     Vec start_of;                      /* int per point: boundary edge leaving it, or -1 */
@@ -611,6 +612,7 @@ add_point(Triangulator *self, double x, double y)
         return NULL;
     }
     pid = (int)self->pts.len;
+    self->new_ids.len = 0; /* a failed insertion reports no slot */
     t0 = locate(self, x, y);
     if (t0 < 0)
         return NULL;
@@ -653,12 +655,30 @@ Triangulator_point(Triangulator *self, PyObject *arg)
     return Py_BuildValue("(dd)", AT(self->pts, Pt)[i].x, AT(self->pts, Pt)[i].y);
 }
 
+/* Append (slot, a, b, c) of slot t to out, or (a, b, c) without the slot;
+ * user point ids, so the synthetic corners read -3, -2 and -1. */
+static int
+append_triangle(PyObject *out, const Tri *tris, Py_ssize_t t, int with_slot)
+{
+    const int *v = tris[t].v;
+    PyObject *item = with_slot
+        ? Py_BuildValue("(niii)", t, v[0] - 3, v[1] - 3, v[2] - 3)
+        : Py_BuildValue("(iii)", v[0] - 3, v[1] - 3, v[2] - 3);
+    int status;
+
+    if (item == NULL)
+        return -1;
+    status = PyList_Append(out, item);
+    Py_DECREF(item);
+    return status;
+}
+
+/* Alive finite triangles in slot order, with or without their slots. */
 static PyObject *
-Triangulator_triangles(Triangulator *self, PyObject *unused)
+list_triangles(Triangulator *self, int with_slot)
 {
     const Tri *tris = AT(self->tris, Tri);
     PyObject *out = PyList_New(0);
-    PyObject *item;
     Py_ssize_t t;
 
     if (out == NULL)
@@ -668,13 +688,40 @@ Triangulator_triangles(Triangulator *self, PyObject *unused)
 
         if (!tris[t].alive || v[0] < 3 || v[1] < 3 || v[2] < 3)
             continue;
-        item = Py_BuildValue("(iii)", v[0] - 3, v[1] - 3, v[2] - 3);
-        if (item == NULL || PyList_Append(out, item) < 0) {
-            Py_XDECREF(item);
+        if (append_triangle(out, tris, t, with_slot) < 0) {
             Py_DECREF(out);
             return NULL;
         }
-        Py_DECREF(item);
+    }
+    return out;
+}
+
+static PyObject *
+Triangulator_triangles(Triangulator *self, PyObject *unused)
+{
+    return list_triangles(self, 0);
+}
+
+static PyObject *
+Triangulator_triangle_slots(Triangulator *self, PyObject *unused)
+{
+    return list_triangles(self, 1);
+}
+
+static PyObject *
+Triangulator_created_slots(Triangulator *self, PyObject *unused)
+{
+    const Tri *tris = AT(self->tris, Tri);
+    PyObject *out = PyList_New(0);
+    Py_ssize_t i;
+
+    if (out == NULL)
+        return NULL;
+    for (i = 0; i < self->new_ids.len; i++) {
+        if (append_triangle(out, tris, AT(self->new_ids, int)[i], 1) < 0) {
+            Py_DECREF(out);
+            return NULL;
+        }
     }
     return out;
 }
@@ -693,6 +740,12 @@ static PyMethodDef Triangulator_methods[] = {
      "point($self, i, /)\n--\n\nCoordinates of user point i."},
     {"triangles", (PyCFunction)Triangulator_triangles, METH_NOARGS,
      "Alive finite triangles as CCW triples of user point indices."},
+    {"triangle_slots", (PyCFunction)Triangulator_triangle_slots, METH_NOARGS,
+     "The triangles() list with each triangle's slot: (slot, a, b, c)."},
+    {"created_slots", (PyCFunction)Triangulator_created_slots, METH_NOARGS,
+     "(slot, a, b, c) of every triangle slot the last successful add_point "
+     "wrote, synthetic corners as negative ids; empty after construction and "
+     "after a failed add_point."},
     {NULL, NULL, 0, NULL},
 };
 

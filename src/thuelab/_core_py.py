@@ -5,7 +5,7 @@ filtered exact predicates and the same incremental Bowyer-Watson
 triangulator, kept in lockstep so either backend can be selected at import
 time. Floating-point operations are ordered identically in both, and dead
 triangle slots are reused in the same order, so they produce bit-identical
-results: the same triangles in the same list order.
+results: the same triangles in the same slots and list order.
 """
 
 from thuelab import _exact
@@ -137,6 +137,7 @@ class Triangulator:
         self._mark = [0]
         self._stamp = 0
         self._hint = 0
+        self._created = ()  # slots written by the last successful add_point
 
     # -- queries ---------------------------------------------------------
 
@@ -151,6 +152,10 @@ class Triangulator:
 
     def triangles(self):
         """Alive finite triangles as CCW triples of user point indices."""
+        return [entry[1:] for entry in self.triangle_slots()]
+
+    def triangle_slots(self):
+        """The triangles() list with each triangle's slot: (slot, a, b, c)."""
         tv = self._tv
         alive = self._alive
         out = []
@@ -162,8 +167,17 @@ class Triangulator:
             c = tv[3 * t + 2]
             if a < 3 or b < 3 or c < 3:
                 continue
-            out.append((a - 3, b - 3, c - 3))
+            out.append((t, a - 3, b - 3, c - 3))
         return out
+
+    def created_slots(self):
+        """(slot, a, b, c) of every triangle slot the last successful
+        add_point wrote, synthetic corners as negative ids; empty after
+        construction and after a failed add_point."""
+        tv = self._tv
+        return [
+            (t, tv[3 * t] - 3, tv[3 * t + 1] - 3, tv[3 * t + 2] - 3) for t in self._created
+        ]
 
     # -- construction ----------------------------------------------------
 
@@ -172,11 +186,12 @@ class Triangulator:
         px = self._px
         py = self._py
         pid = len(px)
+        self._created = ()
         t0 = self._locate(x, y)
         px.append(x)
         py.append(y)
         try:
-            self._insert(pid, x, y, t0)
+            self._created = self._insert(pid, x, y, t0)
         except (ValueError, RuntimeError):
             # every failure comes before a triangle changes: drop the point
             del px[pid], py[pid]
@@ -220,6 +235,8 @@ class Triangulator:
         return incircle(px[a], py[a], px[b], py[b], px[c], py[c], x, y)
 
     def _insert(self, pid, x, y, t0):
+        """Insert point pid, located in triangle t0; returns the slots of
+        the triangles it wrote, in the order written."""
         tv = self._tv
         tn = self._tn
         alive = self._alive
@@ -322,3 +339,4 @@ class Triangulator:
             if outer >= 0:
                 tn[3 * outer + slot] = t
         self._hint = new_ids[-1]
+        return new_ids

@@ -25,17 +25,24 @@ lists of its Delaunay dual, and a `Triangulation` is a view on them:
 `delaunay` returns the view of a fresh diagram and `voronoi_dual` the
 diagram behind a view, so the two never refer to each other in a cycle.
 
-The largest empty circle has two routes. `TorusScanner` scans the
+The largest empty circle has two routes. `TorusScanner` works on the
 validated torus block (`_validated_block`) without assembling edges and
-cells, and keeps the block alive so saturation can insert centers
-incrementally.
+cells. It keeps the block alive so saturation can insert centers
+incrementally, and a max-heap of the block's central triangles keyed by
+(-circumradius, wrapped circumcenter): the one listing the validation
+makes seeds the heap, and each insertion pushes only the triangles the
+kernel reports it created, so a saturation step costs the size of the
+insertion's cavity, not of the block.
 `_diagram_largest_empty_circle` reads the circle off a diagram that is
 already built (the verifier's), for either domain; a box has no
 incremental scan, so `largest_empty_circle` builds the diagram for it.
 """
 
+import heapq
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -242,9 +249,13 @@ def _circumdata(px, py):
 
 
 def _wrap_arrays(domain, xs, ys):
-    """Reduce coordinate arrays into the torus rectangle."""
+    """Reduce coordinate arrays into the half-open torus rectangle, like
+    `Domain.wrap`: a coordinate a few ulps below 0 reduces to the side
+    length itself, which is clamped to 0."""
     w, h = domain.width, domain.height
-    return xs - w * np.floor(xs / w), ys - h * np.floor(ys / h)
+    rx = xs - w * np.floor(xs / w)
+    ry = ys - h * np.floor(ys / h)
+    return np.where(rx >= w, 0.0, rx), np.where(ry >= h, 0.0, ry)
 
 
 def _triangle_area_sum(point_triples):
@@ -444,7 +455,22 @@ class _TorusBlock:
     """Replicated-block triangulation of a torus configuration.
 
     Keeps the kernel triangulator alive so saturation can insert points
-    incrementally (each torus insertion adds all (2k+1)^2 copies)."""
+    incrementally (each torus insertion adds all (2k+1)^2 copies), and the
+    block coordinates (as doubles, which numpy reads without a copy) and
+    labels of its points in kernel order.
+
+    The largest empty circle comes from a max-heap of the central
+    triangles (those with a corner in the central copy) keyed
+    (-circumradius, wrapped circumcenter), the lexicographic tie-break of a
+    full scan. The `central_triangles` listing that validated the block
+    seeds it (`seed_heap`); after that each insertion pushes only the
+    central triangles the kernel reports as created. A cavity of c
+    triangles has c + 2 boundary edges and the kernel reuses freed slots
+    first, so every slot an insertion kills is written again by that
+    insertion and shows up in its report. `_live` maps each slot to its
+    current heap entry, so an entry whose slot was rewritten (or reborn
+    without a central corner) goes stale and is dropped when it reaches
+    the top."""
 
     def __init__(self, config: PackingConfiguration, k: int):
         self.config = config
@@ -462,47 +488,85 @@ class _TorusBlock:
         order = _spatial_order(xs, ys)
         bounds = (-(k + 0.5) * w, -(k + 0.5) * h, (k + 1.5) * w, (k + 1.5) * h)
         tri = backend.Triangulator(bounds)
-        self.labels = []
-        for pos in order:
-            tri.add_point(xs[pos], ys[pos])
-            self.labels.append(labels[pos])
+        self.xs = array("d", [xs[pos] for pos in order])
+        self.ys = array("d", [ys[pos] for pos in order])
+        self.labels = [labels[pos] for pos in order]
+        for x, y in zip(self.xs, self.ys):
+            tri.add_point(x, y)
         self.tri = tri
         self.n_centers = len(config.centers)
+        self._listing = None  # the last central_triangles listing, with slots
+        self._heap = []
+        self._live = {}
 
     def insert_center(self, p: Point):
         """Insert a new torus center (canonical coordinates) and all its
-        periodic copies."""
+        periodic copies, and push the central triangles they create."""
         w = self.config.domain.width
         h = self.config.domain.height
         i = self.n_centers
         self.n_centers += 1
+        written = {}  # slot -> its last triple; a later copy may rewrite it
         for (sx, sy) in self.shifts:
-            self.tri.add_point(p[0] + sx * w, p[1] + sy * h)
+            x, y = p[0] + sx * w, p[1] + sy * h
+            self.tri.add_point(x, y)
+            self.xs.append(x)
+            self.ys.append(y)
             self.labels.append((i, sx, sy))
+            for slot, a, b, c in self.tri.created_slots():
+                written[slot] = (a, b, c)
+        lab, xs, ys = self.labels, self.xs, self.ys
+        slots, px, py = [], [], []
+        for slot, t in written.items():
+            self._live.pop(slot, None)
+            if min(t) >= 0 and any(lab[v][1] == 0 and lab[v][2] == 0 for v in t):
+                slots.append(slot)
+                px.append([xs[v] for v in t])
+                py.append([ys[v] for v in t])
+        if slots:
+            cx, cy, r = _circumdata(np.array(px), np.array(py))
+            for entry in self._entries(slots, cx, cy, r):
+                heapq.heappush(self._heap, entry)
         return i
 
     def central_triangles(self):
         """Triangles with at least one vertex in the central copy, plus
-        their circumcenters/radii (block coordinates)."""
-        tris = self.tri.triangles()
-        lab = self.labels
-        central = [
-            t
-            for t in tris
-            if (lab[t[0]][1] == 0 and lab[t[0]][2] == 0)
-            or (lab[t[1]][1] == 0 and lab[t[1]][2] == 0)
-            or (lab[t[2]][1] == 0 and lab[t[2]][2] == 0)
-        ]
-        if not central:
+        their circumcenters/radii (block coordinates). The listing, with
+        the triangles' kernel slots, is kept to seed the heap."""
+        rows = self.tri.triangle_slots()
+        listing = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=4 * len(rows))
+        del rows  # the tuples outweigh the array; free them first
+        listing = listing.reshape(-1, 4)
+        ids = listing[:, 1:]
+        in_center = np.fromiter(
+            (sx == 0 and sy == 0 for _, sx, sy in self.labels),
+            dtype=bool,
+            count=len(self.labels),
+        )
+        central = in_center[ids].any(axis=1)
+        if not central.any():
             raise DegenerateGeometryError("replicated triangulation is empty")
-        m = len(central)
-        px = np.fromiter(
-            (self.tri.point(i)[0] for t in central for i in t), dtype=float, count=3 * m
-        )
-        py = np.fromiter(
-            (self.tri.point(i)[1] for t in central for i in t), dtype=float, count=3 * m
-        )
-        return (central,) + _circumdata(px.reshape(m, 3), py.reshape(m, 3))
+        slots, ids = listing[central, 0].tolist(), ids[central]
+        cx, cy, r = _circumdata(np.frombuffer(self.xs)[ids], np.frombuffer(self.ys)[ids])
+        self._listing = (slots, cx, cy, r)
+        return ids.tolist(), cx, cy, r
+
+    def _entries(self, slots, cx, cy, r):
+        """Heap entries (-r, rx, ry, slot), each made the live one of its
+        slot."""
+        rx, ry = _wrap_arrays(self.config.domain, cx, cy)
+        entries = list(zip((-r).tolist(), rx.tolist(), ry.tolist(), slots))
+        live = self._live
+        for entry in entries:
+            live[entry[3]] = entry
+        return entries
+
+    def seed_heap(self):
+        """Fill the heap from the last central listing, which the block's
+        validation made; insertions keep it current from then on."""
+        self._heap = self._entries(*self._listing)
+        self._listing = None
+        heapq.heapify(self._heap)
 
     def radius_bound(self) -> float:
         return self.k * min(self.config.domain.width, self.config.domain.height) / 2.0
@@ -510,14 +574,15 @@ class _TorusBlock:
     def max_empty(self):
         """Largest circumradius over torus Voronoi vertices, with its
         canonical position; ties break lexicographically."""
-        _, cx, cy, r = self.central_triangles()
-        if np.max(r) >= self.radius_bound():
+        heap, live = self._heap, self._live
+        while live.get(heap[0][3]) is not heap[0]:
+            heapq.heappop(heap)
+        neg_r, x, y, _ = heap[0]
+        if -neg_r >= self.radius_bound():
             raise DegenerateGeometryError(
                 "circumradius exceeds the replication guarantee"
             )
-        rx, ry = _wrap_arrays(self.config.domain, cx, cy)
-        best = np.lexsort((ry, rx, -r))[0]
-        return Point(float(rx[best]), float(ry[best])), float(r[best])
+        return Point(x, y), -neg_r
 
 
 def _torus_vertices(config, tol, block):
@@ -979,12 +1044,16 @@ class TorusScanner:
     """Incremental largest-empty-circle scans for torus saturation.
 
     Builds a validated periodic triangulation once, then supports
-    insert/rescan cycles without rebuilding."""
+    insert/scan cycles without rebuilding: `insert` adds a center's copies
+    and pushes the central triangles they create onto the block's heap,
+    and `max_empty` drops stale entries from the top of the heap. Each
+    answer equals a full scan of the block, ties included."""
 
     def __init__(self, config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
         if not config.domain.is_torus:
             raise ValueError("TorusScanner requires a torus domain")
         self._block, _ = _validated_block(config, tol)
+        self._block.seed_heap()
 
     def max_empty(self):
         return self._block.max_empty()

@@ -102,3 +102,27 @@ def grid_search_empty_circle(centers, region, step=0.01):
     idx = np.unravel_index(np.argmax(dmin), dmin.shape)
     best = (float(gx[idx]), float(gy[idx]), float(dmin[idx]))
     return best
+
+
+def torus_block_rescan(tri, labels, domain):
+    """Empty circles of a replicated torus block by a full rescan: for
+    every alive triangle with a corner in the central copy (`labels[id]`
+    is the (center, sx, sy) copy of kernel point id), the key (-r, rx, ry)
+    of its circumradius and wrapped circumcenter, in lexicographic order,
+    so the first key is the largest empty circle. Unlike the rest of this
+    module it reuses the package's float formulas (`_circumdata`,
+    `_wrap_arrays`) on purpose: an incremental scan must give the very
+    same floats, so tests compare the two with ==."""
+    import numpy as np
+
+    from thuelab.tessellation import _circumdata, _wrap_arrays
+
+    central = [
+        t for t in tri.triangles() if any(labels[v][1:] == (0, 0) for v in t)
+    ]
+    px = np.array([[tri.point(v)[0] for v in t] for t in central])
+    py = np.array([[tri.point(v)[1] for v in t] for t in central])
+    cx, cy, r = _circumdata(px, py)
+    rx, ry = _wrap_arrays(domain, cx, cy)
+    order = np.lexsort((ry, rx, -r))
+    return list(zip((-r[order]).tolist(), rx[order].tolist(), ry[order].tolist()))

@@ -1,7 +1,8 @@
 """The compiled kernel and the pure-Python kernel must be interchangeable:
 identical triangulations (the same triangles in the same list order, which
-the tessellation depends on), identical predicate signs, on identical
-inputs."""
+the tessellation depends on), identical created-slot reports after every
+insertion (which torus saturation depends on), identical predicate signs,
+on identical inputs."""
 
 import itertools
 import math
@@ -49,22 +50,53 @@ def _triangulate(module, pts):
     return tri
 
 
+def _replay(module, points, bounds=(-25.0, -25.0, 25.0, 25.0)):
+    """Triangulate `points` one add_point at a time and return the
+    triangulator and the created-slot report of every insertion.
+
+    After each insertion the reports replayed so far must describe the
+    whole triangulation: their finite slots are exactly the alive finite
+    triangles of `triangle_slots()`, whose triples are `triangles()`
+    element for element, and there are 2n + 1 of them with the synthetic
+    corners counted (every slot a cavity frees is written again)."""
+    tri = module.Triangulator(bounds)
+    assert tri.created_slots() == []
+    slots = {}
+    reports = []
+    for (x, y) in points:
+        tri.add_point(x, y)
+        report = tri.created_slots()
+        reports.append(report)
+        assert len({entry[0] for entry in report}) == len(report)
+        slots.update((slot, (a, b, c)) for slot, a, b, c in report)
+        listing = tri.triangle_slots()
+        assert [entry[1:] for entry in listing] == tri.triangles()
+        finite = {slot: abc for slot, abc in slots.items() if min(abc) >= 0}
+        assert finite == {slot: (a, b, c) for slot, a, b, c in listing}
+        assert len(slots) == 2 * tri.num_points + 1
+    return tri, reports
+
+
+def _assert_identical_replays(points, bounds=(-25.0, -25.0, 25.0, 25.0)):
+    t_py, r_py = _replay(_core_py, points, bounds)
+    t_cy, r_cy = _replay(_core, points, bounds)
+    assert r_py == r_cy
+    assert t_py.triangle_slots() == t_cy.triangle_slots()
+    assert t_py.triangles() == t_cy.triangles()
+    return t_py, t_cy
+
+
 @needs_compiled
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_identical_triangulations_random(seed):
-    pts = _random_block(seed)
-    t_py = _triangulate(_core_py, pts)
-    t_cy = _triangulate(_core, pts)
-    assert t_py.triangles() == t_cy.triangles()
+    _assert_identical_replays(_random_block(seed))
 
 
 @needs_compiled
 def test_identical_on_exact_grid():
     # exactly cocircular squares exercise the tie-breaking path
     pts = [(float(x), float(y)) for x in range(0, 12, 2) for y in range(0, 12, 2)]
-    t_py = _triangulate(_core_py, pts)
-    t_cy = _triangulate(_core, pts)
-    assert t_py.triangles() == t_cy.triangles()
+    _assert_identical_replays(pts)
 
 
 @needs_compiled
@@ -138,6 +170,30 @@ class TestTriangulatorContract:
         assert sorted(tri.triangles()[0]) == [0, 1, 2]
         assert len(tri.triangles()) == 1
 
+    def test_created_slots_report(self, module):
+        tri, reports = _replay(module, _random_block(3, n=80))
+        assert all(reports)
+        # a duplicate insertion fails and leaves an empty report
+        with pytest.raises(ValueError):
+            tri.add_point(*tri.point(5))
+        assert tri.created_slots() == []
+        # so does a point outside the bounds, rejected before any cavity
+        tri.add_point(0.125, 0.25)
+        assert tri.created_slots()
+        with pytest.raises(ValueError):
+            tri.add_point(1e9, 1e9)
+        assert tri.created_slots() == []
+
+    def test_created_slots_name_synthetic_corners(self, module):
+        # the first point splits the super triangle: three slots, each with
+        # two synthetic corners among -3, -2, -1
+        tri = module.Triangulator((0.0, 0.0, 10.0, 10.0))
+        tri.add_point(5.0, 5.0)
+        report = tri.created_slots()
+        assert len(report) == 3
+        assert sorted(v for _, *abc in report for v in abc if v < 0) == [-3, -3, -2, -2, -1, -1]
+        assert tri.triangle_slots() == []
+
     def test_point_index_out_of_range(self, module):
         tri = module.Triangulator((0.0, 0.0, 10.0, 10.0))
         tri.add_point(1.0, 2.0)
@@ -152,9 +208,7 @@ class TestAdversarialInsertionOrders:
     degenerate walks; backends must stay identical and exactly Delaunay."""
 
     def _fuzz(self, points, bounds):
-        t_py = _triangulate_with(_core_py, points, bounds)
-        t_cy = _triangulate_with(_core, points, bounds)
-        assert t_py.triangles() == t_cy.triangles()
+        t_py, _ = _assert_identical_replays(points, bounds)
         pts = [t_py.point(i) for i in range(t_py.num_points)]
         for (a, b, c) in t_py.triangles():
             pa, pb, pc = pts[a], pts[b], pts[c]
@@ -234,10 +288,7 @@ _near_collinear_points = st.builds(
 @given(st.one_of(_random_points, _grid_points, _near_collinear_points))
 def test_identical_on_generated_point_sets(points):
     points = _distinct(points)
-    bounds = (-25.0, -25.0, 25.0, 25.0)
-    t_py = _triangulate_with(_core_py, points, bounds)
-    t_cy = _triangulate_with(_core, points, bounds)
-    assert t_py.triangles() == t_cy.triangles()
+    t_py, t_cy = _assert_identical_replays(points)
     assert [t_py.point(i) for i in range(len(points))] == [
         t_cy.point(i) for i in range(len(points))
     ]

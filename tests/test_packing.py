@@ -17,6 +17,7 @@ from thuelab.packing import (
     perturb,
     validate,
 )
+from thuelab.verifier import check_thue
 
 SQRT3 = math.sqrt(3.0)
 
@@ -195,6 +196,28 @@ class TestSaturation:
         out = greedy_saturate(cfg)
         assert out.n > 1
         assert is_saturated(out).saturated
+
+    def test_saturate_seam_witness_stays_in_rectangle(self):
+        # A loose perturbed hex torus (8 x 8 sites of spacing 2.3, site 0
+        # dropped) translated so that its largest empty circle sits 3e-16
+        # left of x = 0. The circumcenter wraps to x = width unless the
+        # wrap clamps it to 0, as Domain.wrap does; the saturated packing
+        # then had a center outside the rectangle.
+        spacing = 2.3
+        dy = spacing * SQRT3 / 2.0
+        dom = Domain("torus", 8 * spacing, 8 * dy)
+        sites = [((i + 0.5 * (j % 2)) * spacing, j * dy) for j in range(8) for i in range(8)]
+        loose = perturb(PackingConfiguration(dom, tuple(sites[1:])), seed=4, magnitude=0.12)
+        x0 = is_saturated(loose).witness[0].x
+        cfg = PackingConfiguration(
+            dom, tuple(dom.wrap(x - x0 - 3e-16, y) for x, y in loose.centers)
+        )
+        witness = is_saturated(cfg).witness[0]
+        assert 0.0 <= witness.x < dom.width
+        out = greedy_saturate(cfg)
+        assert validate(out) == []
+        assert is_saturated(out).saturated
+        assert check_thue(out).verdict
 
     def test_box_saturation(self):
         cfg = PackingConfiguration(

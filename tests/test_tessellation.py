@@ -5,8 +5,8 @@ import pytest
 
 import oracles
 from thuelab import backend
-from thuelab.geometry import Point, polygon_area
-from thuelab.packing import Domain, PackingConfiguration, gen_random, perturb
+from thuelab.geometry import DEFAULT_TOL, Point, polygon_area
+from thuelab.packing import Domain, PackingConfiguration, gen_random, greedy_saturate, perturb
 from thuelab.tessellation import (
     TorusScanner,
     build_diagram,
@@ -24,6 +24,25 @@ SQRT3 = math.sqrt(3.0)
 
 def _dist(p, q):
     return math.hypot(p[0] - q[0], p[1] - q[1])
+
+
+def _jittered_hex_torus(seed, cols=16, rows=16, spacing=2.5, holes=10):
+    """A loose hexagonal torus lattice with `holes` sites removed (even
+    column and row indices, so no two holes touch), each center then moved
+    by at most 0.12: every hole takes one insertion to fill."""
+    dy = spacing * SQRT3 / 2.0
+    domain = Domain("torus", cols * spacing, rows * dy)
+    sites = {
+        (i, j): ((i + 0.5 * (j % 2)) * spacing, j * dy)
+        for j in range(rows)
+        for i in range(cols)
+    }
+    rng = random.Random(seed)
+    removed = set(rng.sample([k for k in sites if k[0] % 2 == 0 and k[1] % 2 == 0], holes))
+    loose = PackingConfiguration(
+        domain, tuple(p for k, p in sites.items() if k not in removed)
+    )
+    return perturb(loose, seed=seed, magnitude=0.12)
 
 
 class TestDelaunayTorus:
@@ -493,6 +512,37 @@ class TestTorusScanner:
             centers.append(pos)
         else:
             pytest.fail("saturation loop did not converge")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["rsa40-0", "rsa40-1", "rsa40-2", "rsa40-3", "rsa40-4", "sparse10", "jittered-hex"],
+    )
+    def test_heap_matches_full_rescan_stepwise(self, name):
+        # at every saturation step the heap's top is exactly the maximum of
+        # a full rescan of the block, with the same tie-break, and the live
+        # heap entries are exactly the rescan's keys
+        if name.startswith("rsa40"):
+            cfg = gen_random(Domain("torus", 40.0, 40.0), seed=int(name[-1]))
+        elif name == "sparse10":
+            cfg = gen_random(Domain("torus", 10.0, 10.0), seed=77, max_failures=30)
+        else:
+            cfg = _jittered_hex_torus(seed=5)
+        scanner = TorusScanner(cfg)
+        block = scanner._block
+        added = []
+        for _ in range(400):
+            keys = oracles.torus_block_rescan(block.tri, block.labels, cfg.domain)
+            pos, r = scanner.max_empty()
+            assert (-r, pos[0], pos[1]) == keys[0]
+            assert sorted(entry[:3] for entry in block._live.values()) == keys
+            if r < 2.0 - DEFAULT_TOL.eps_eq:
+                break
+            scanner.insert(pos)
+            added.append(pos)
+        else:
+            pytest.fail("saturation loop did not converge")
+        assert added
+        assert greedy_saturate(cfg).centers == cfg.centers + tuple(added)
 
     def test_incremental_matches_rebuild(self, hex_minus_one):
         scanner = TorusScanner(hex_minus_one)
