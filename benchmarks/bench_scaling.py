@@ -41,6 +41,7 @@ ROWS = {
     "rsa-torus-160": ("torus", 160.0),
     "rsa-torus-320": ("torus", 320.0),
     "rsa-box-60": ("box", 60.0),
+    "rsa-box-100": ("box", 100.0),
 }
 SEED = 42
 

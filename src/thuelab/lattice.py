@@ -1,8 +1,10 @@
 """Rank-2 lattice bases: Lagrange-Gauss reduction and packing admissibility.
 
-Reduction runs over exact rationals (doubles convert losslessly to
-`Fraction`), so the reduced-basis conditions hold exactly and the unimodular
-transform is exact integer data. A lattice is admissible for unit circles
+Reduction runs exactly, on integers: the four coordinates are doubles, so
+they share a power-of-two denominator D, and the loop runs on the integer
+numerators. The reduced-basis conditions therefore hold exactly, the
+unimodular transform is exact integer data, and each output coordinate is
+the correctly rounded int / D. A lattice is admissible for unit circles
 when its shortest nonzero vector has length at least 2; among admissible
 lattices the fundamental-parallelogram area is at least 2*sqrt(3), with
 equality exactly for the hexagonal lattice. That minimum is what the
@@ -63,22 +65,21 @@ def det(b: Basis2) -> float:
     return b.b1[0] * b.b2[1] - b.b1[1] * b.b2[0]
 
 
-def _exact_vectors(b: Basis2):
-    u = (Fraction(b.b1[0]), Fraction(b.b1[1]))
-    v = (Fraction(b.b2[0]), Fraction(b.b2[1]))
-    return u, v
-
-
-def _norm2(u):
-    return u[0] * u[0] + u[1] * u[1]
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
+def _scaled_integers(b: Basis2):
+    """(u, v, D): the basis vectors as integer pairs over their common
+    denominator D, a power of two (every double is an integer over a power
+    of two, and the largest of the four is a multiple of the others)."""
+    ratios = [
+        x.as_integer_ratio() if isinstance(x, float) else Fraction(x).as_integer_ratio()
+        for x in (*b.b1, *b.b2)
+    ]
+    d = max(den for _, den in ratios)
+    ux, uy, vx, vy = (num * (d // den) for num, den in ratios)
+    return (ux, uy), (vx, vy), d
 
 
 def _check_independent(b: Basis2, tol: ToleranceConfig):
-    u, v = _exact_vectors(b)
+    u, v, _ = _scaled_integers(b)
     if u[0] * v[1] - u[1] * v[0] == 0:
         raise DegenerateGeometryError("basis vectors are linearly dependent")
     if abs(det(b)) <= tol.eps_eq * tol.eps_eq:
@@ -92,29 +93,33 @@ def gauss_reduce(b: Basis2, tol: ToleranceConfig = DEFAULT_TOL) -> ReducedBasis:
     The loop subtracts the rounded projection coefficient and swaps until
     |b1| <= |b2| <= |b2 - t*b1| for every integer t. Exact arithmetic makes
     the tie cases (|b2 + b1| == |b2 - b1|) unambiguous: a zero projection
-    coefficient simply stops the loop.
+    coefficient simply stops the loop. The coefficient and every
+    comparison are invariant under the common scale D, so the integer
+    numerators reduce exactly as the rationals would.
     """
     _check_independent(b, tol)
-    u, v = _exact_vectors(b)
+    (ux, uy), (vx, vy), d = _scaled_integers(b)
     # rows of the unimodular map, kept alongside (u, v)
     mu = (1, 0)
     mv = (0, 1)
-    if _norm2(u) > _norm2(v):
-        u, v = v, u
+    nu, nv = ux * ux + uy * uy, vx * vx + vy * vy
+    if nu > nv:
+        ux, uy, vx, vy, nu, nv = vx, vy, ux, uy, nv, nu
         mu, mv = mv, mu
     while True:
-        nu = _norm2(u)
         # t = floor(<u,v>/<u,u> + 1/2), exact
-        t = (2 * _dot(u, v) + nu) // (2 * nu)
+        t = (2 * (ux * vx + uy * vy) + nu) // (2 * nu)
         if t != 0:
-            v = (v[0] - t * u[0], v[1] - t * u[1])
+            vx, vy = vx - t * ux, vy - t * uy
             mv = (mv[0] - t * mu[0], mv[1] - t * mu[1])
-        if _norm2(v) < nu:
-            u, v = v, u
+            nv = vx * vx + vy * vy
+        if nv < nu:
+            ux, uy, vx, vy, nu, nv = vx, vy, ux, uy, nv, nu
             mu, mv = mv, mu
         else:
             break
-    out = Basis2((float(u[0]), float(u[1])), (float(v[0]), float(v[1])))
+    # int / int is correctly rounded, as float(Fraction) is
+    out = Basis2((ux / d, uy / d), (vx / d, vy / d))
     return ReducedBasis(basis=out, unimodular_map=(mu, mv))
 
 

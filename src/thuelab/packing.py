@@ -433,7 +433,6 @@ def is_saturated(
     certificate carries that circle as an insertion witness."""
     from thuelab import tessellation
 
-    _require_usable(config, tol)
     center, radius = tessellation.largest_empty_circle(config, tol)
     if radius < 2.0 - tol.eps_eq:
         return SaturationCertificate(True, None)
@@ -449,33 +448,22 @@ def greedy_saturate(
     All original centers are retained."""
     from thuelab import tessellation
 
-    _require_usable(config, tol)
     domain = config.domain
     cap = int(math.ceil(domain.area / math.pi))
     threshold = 2.0 - tol.eps_eq
-
-    if domain.is_torus:
-        scanner = tessellation.TorusScanner(config, tol)
-        added = []
-        while True:
-            center, radius = scanner.max_empty()
-            if radius < threshold:
-                break
-            if len(added) >= cap:
-                raise RuntimeError("saturation exceeded the area bound on insertions")
-            scanner.insert(center)
-            added.append(center)
-        if not added:
-            return config
-        return replace(config, centers=config.centers + tuple(added))
-
-    current = config
-    inserted = 0
+    # the scanner validates the packing
+    scanner = (tessellation.TorusScanner if domain.is_torus else tessellation.BoxScanner)(
+        config, tol
+    )
+    added = []
     while True:
-        center, radius = tessellation.largest_empty_circle(current, tol)
+        center, radius = scanner.max_empty()
         if radius < threshold:
-            return current
-        if inserted >= cap:
+            break
+        if len(added) >= cap:
             raise RuntimeError("saturation exceeded the area bound on insertions")
-        current = replace(current, centers=current.centers + (center,))
-        inserted += 1
+        scanner.insert(center)
+        added.append(center)
+    if not added:
+        return config
+    return replace(config, centers=config.centers + tuple(added))

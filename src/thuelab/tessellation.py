@@ -25,23 +25,26 @@ lists of its Delaunay dual, and a `Triangulation` is a view on them:
 `delaunay` returns the view of a fresh diagram and `voronoi_dual` the
 diagram behind a view, so the two never refer to each other in a cycle.
 
-The largest empty circle has two routes. `TorusScanner` works on the
-validated torus block (`_validated_block`) without assembling edges and
-cells. It keeps the block alive so saturation can insert centers
-incrementally, and a max-heap of the block's central triangles keyed by
-(-circumradius, wrapped circumcenter): the one listing the validation
-makes seeds the heap, and each insertion pushes only the triangles the
-kernel reports it created, so a saturation step costs the size of the
-insertion's cavity, not of the block.
+The largest empty circle has two routes. A scanner, `TorusScanner` or
+`BoxScanner`, triangulates once without assembling edges and cells and
+keeps the kernel alive, so saturation inserts centers incrementally. Each
+keeps a max-heap of its candidates keyed (-radius, position), the
+lexicographic tie-break of a full scan, and after an insertion pushes
+only what the triangles the kernel reports it created give, so a
+saturation step costs the size of the insertion's cavity, not of the
+packing. The torus candidates are the central triangles of the validated
+block (`_validated_block`); the box candidates are the Voronoi vertices,
+the edge crossings of the analysis-region boundary and the region
+corners, scored by their nearest-center distance.
 `_diagram_largest_empty_circle` reads the circle off a diagram that is
-already built (the verifier's), for either domain; a box has no
-incremental scan, so `largest_empty_circle` builds the diagram for it.
+already built (the verifier's), for either domain; `largest_empty_circle`
+asks a fresh scanner.
 """
 
 import heapq
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Optional
 
@@ -66,6 +69,7 @@ __all__ = [
     "VoronoiCell",
     "VoronoiDiagram",
     "TorusScanner",
+    "BoxScanner",
     "delaunay",
     "voronoi_dual",
     "build_diagram",
@@ -78,6 +82,7 @@ __all__ = [
 ]
 
 _MAX_RINGS = 8
+_BOX_INFLATE = 1024.0  # first bounds of a box triangulation, in bounding boxes
 _ZERO_SHIFTS = ((0, 0), (0, 0), (0, 0))  # lattice shifts of a box triangle
 
 
@@ -215,23 +220,37 @@ class VoronoiDiagram:
 # small helpers
 
 
-def _spatial_order(xs, ys):
-    """Insertion order with spatial locality (serpentine grid sweep)."""
-    n = len(xs)
-    if n <= 2:
-        return list(range(n))
+def _spatial_grid(xs, ys):
+    """(minx, miny, cell side, cells per side) of the serpentine sweep
+    over these points: a square grid of int(sqrt(n)) cells per side on
+    their bounding box."""
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
     span = max(maxx - minx, maxy - miny, 1e-30)
-    ncell = max(1, int(math.sqrt(n)))
-    cell = span / ncell
+    ncell = max(1, int(math.sqrt(len(xs))))
+    return minx, miny, span / ncell, ncell
+
+
+def _spatial_rank(grid, xs, ys):
+    """Sort key of point i in the serpentine sweep over `grid`; it reads
+    the coordinate lists when called, so points appended later get keys
+    too."""
+    minx, miny, cell, ncell = grid
 
     def key(i):
         gx = min(int((xs[i] - minx) / cell), ncell - 1)
         gy = min(int((ys[i] - miny) / cell), ncell - 1)
         return (gy, gx if gy % 2 == 0 else -gx, xs[i], ys[i], i)
 
-    return sorted(range(n), key=key)
+    return key
+
+
+def _spatial_order(xs, ys):
+    """Insertion order with spatial locality (serpentine grid sweep)."""
+    n = len(xs)
+    if n <= 2:
+        return list(range(n))
+    return sorted(range(n), key=_spatial_rank(_spatial_grid(xs, ys), xs, ys))
 
 
 def _circumdata(px, py):
@@ -842,12 +861,73 @@ def _verify_box_delaunay(config, tris, edge_map):
     return abs(tri_area - hull_area) <= 1e-9 * max(1.0, hull_area)
 
 
+def _hull_ray_end(p1, ci, cj, ck, w, h):
+    """Far end of the Voronoi ray of the box hull edge (ci, cj): from the
+    circumcenter p1 of the edge's triangle, away from its third corner
+    ck, long enough to traverse the rectangle from wherever p1 landed."""
+    dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
+    norm = math.hypot(dx, dy)
+    dx, dy = dx / norm, dy / norm
+    mx, my = 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1])
+    if (mx - ck[0]) * dx + (my - ck[1]) * dy < 0.0:
+        dx, dy = -dx, -dy
+    reach = math.hypot(p1[0] - 0.5 * w, p1[1] - 0.5 * h) + 2.0 * (w + h)
+    return (p1[0] + reach * dx, p1[1] + reach * dy)
+
+
+def _box_edge_segment(p1, p2, w, h, eps_eq):
+    """The part of the Voronoi edge p1 -> p2 inside the box rectangle, as
+    `_clip_segment_rect` gives it, or None when nothing or only a
+    zero-length stub on the boundary is left. Callers pass a two-vertex
+    edge from its lexicographically smaller endpoint, so the clipped
+    floats do not depend on which of its triangles the kernel listed
+    first, and a hull edge from its circumcenter to `_hull_ray_end`."""
+    clip = _clip_segment_rect(p1[0], p1[1], p2[0], p2[1], w, h)
+    if clip is None:
+        return None
+    (e1, e2, _, _) = clip
+    if math.hypot(e2[0] - e1[0], e2[1] - e1[1]) <= eps_eq:
+        return None
+    return clip
+
+
+def _analysis_region(domain):
+    """(x0, y0, x1, y1) of the margin-shrunk box rectangle."""
+    m = domain.margin
+    region = (m, m, domain.width - m, domain.height - m)
+    if not (region[0] < region[2] and region[1] < region[3]):
+        raise DegenerateGeometryError("margin leaves no analysis region")
+    return region
+
+
+def _region_crossings(e1, e2, region):
+    """Points where the (box-clipped) edge segment e1 -> e2 crosses the
+    boundary of the analysis region."""
+    x0, y0, x1, y1 = region
+    clip = _clip_segment_rect(e1[0] - x0, e1[1] - y0, e2[0] - x0, e2[1] - y0, x1 - x0, y1 - y0)
+    if clip is None:
+        return []
+    (c1, c2, t0, t1) = clip
+    out = []
+    if t0 > 0.0:
+        out.append((c1[0] + x0, c1[1] + y0))
+    if t1 < 1.0:
+        out.append((c2[0] + x0, c2[1] + y0))
+    return out
+
+
 def _box_triangulate(config):
     """Verified Delaunay triangles of a box configuration, with their
-    neighbors and edge map (see `_triangle_neighbors`)."""
+    neighbors and edge map (see `_triangle_neighbors`), the live kernel
+    triangulator and the kernel id -> center index map.
+
+    The kernel's bounds start `_BOX_INFLATE` times wider than the centers'
+    bounding box: with tight bounds about one box in twelve lost a hull
+    triangle and had to be triangulated again. Verification still guards
+    every attempt."""
     xs = [p[0] for p in config.centers]
     ys = [p[1] for p in config.centers]
-    inflate = 1.0
+    inflate = _BOX_INFLATE
     for _attempt in range(3):
         minx, maxx = min(xs), max(xs)
         miny, maxy = min(ys), max(ys)
@@ -866,7 +946,7 @@ def _box_triangulate(config):
             tris, [_ZERO_SHIFTS] * len(tris), closed=False
         )
         if _verify_box_delaunay(config, tris, edge_map):
-            return tris, neighbors, edge_map
+            return tris, neighbors, edge_map, tri, perm
         inflate *= 1024.0
     raise DegenerateGeometryError("could not build a verified Delaunay triangulation")
 
@@ -875,7 +955,7 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDia
     domain = config.domain
     w, h = domain.width, domain.height
     centers = config.centers
-    tris, neighbors, edge_map = _box_triangulate(config)
+    tris, neighbors, edge_map, _, _ = _box_triangulate(config)
     points = [
         (centers[a], centers[b], centers[c]) for (a, b, c) in tris
     ]
@@ -900,32 +980,22 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDia
         gpts = (centers[i], centers[j])
         t, k = uses[0]
         va = tri_vertex[t]
-        p1 = vertices[va].position
         if len(uses) == 2:
             vb = tri_vertex[uses[1][0]]
             if va == vb:
                 continue  # diagonal inside a cocircular polygon, zero length
-            p2 = vertices[vb].position
+            if vertices[vb].position < vertices[va].position:
+                va, vb = vb, va
+            p1, p2 = vertices[va].position, vertices[vb].position
         else:
             # hull edge: infinite ray from the single circumcenter, clipped
             vb = -1
-            ci, cj, ck = centers[i], centers[j], centers[tris[t][k]]
-            dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
-            norm = math.hypot(dx, dy)
-            dx, dy = dx / norm, dy / norm
-            mx, my = 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1])
-            if (mx - ck[0]) * dx + (my - ck[1]) * dy < 0.0:
-                dx, dy = -dx, -dy
-            # long enough to traverse the rectangle from wherever the
-            # circumcenter landed
-            reach = math.hypot(p1[0] - 0.5 * w, p1[1] - 0.5 * h) + 2.0 * (w + h)
-            p2 = (p1[0] + reach * dx, p1[1] + reach * dy)
-        clip = _clip_segment_rect(p1[0], p1[1], p2[0], p2[1], w, h)
+            p1 = vertices[va].position
+            p2 = _hull_ray_end(p1, centers[i], centers[j], centers[tris[t][k]], w, h)
+        clip = _box_edge_segment(p1, p2, w, h, tol.eps_eq)
         if clip is None:
             continue
         (e1, e2, t0, t1) = clip
-        if math.hypot(e2[0] - e1[0], e2[1] - e1[1]) <= tol.eps_eq:
-            continue  # clipping left a zero-length stub on the boundary
         endpoints = (Point(*e1), Point(*e2))
         edges.append(
             VoronoiEdge(
@@ -1043,15 +1113,17 @@ def classify_edge_pitteway(e: VoronoiEdge) -> str:
 class TorusScanner:
     """Incremental largest-empty-circle scans for torus saturation.
 
-    Builds a validated periodic triangulation once, then supports
-    insert/scan cycles without rebuilding: `insert` adds a center's copies
-    and pushes the central triangles they create onto the block's heap,
-    and `max_empty` drops stale entries from the top of the heap. Each
-    answer equals a full scan of the block, ties included."""
+    Validates the packing and builds a validated periodic triangulation
+    once, then supports insert/scan cycles without rebuilding: `insert`
+    adds a center's copies and pushes the central triangles they create
+    onto the block's heap, and `max_empty` drops stale entries from the
+    top of the heap. Each answer equals a full scan of the block, ties
+    included."""
 
     def __init__(self, config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
         if not config.domain.is_torus:
             raise ValueError("TorusScanner requires a torus domain")
+        _require_usable(config, tol)
         self._block, _ = _validated_block(config, tol)
         self._block.seed_heap()
 
@@ -1062,17 +1134,321 @@ class TorusScanner:
         self._block.insert_center(p)
 
 
+_BIN = 2.0  # side of the BoxScanner candidate buckets
+
+
+class BoxScanner:
+    """Incremental largest-empty-circle scans for box saturation.
+
+    Validates and triangulates the packing once (`_box_triangulate`) and
+    keeps the kernel alive across insertions. The candidates of
+    `_box_candidate_keys` sit in a max-heap keyed (-r, x, y), r being the
+    distance to the nearest center: the circumcenters inside the analysis
+    region (one per triangle slot), the crossings of the region boundary
+    by the clipped Voronoi edges (per Delaunay edge), and the four region
+    corners. An insertion drops the candidates of the slots the kernel
+    rewrote and of the Delaunay edges of those triangles, pushes the new
+    ones, and lowers r to the distance d to the new center for each
+    surviving candidate with d < r; every such candidate lies within the
+    top radius of the new center, so only the buckets there are searched.
+
+    A fresh build computes each circumcenter from the triangle corner that
+    comes last in `_spatial_order` (the kernel's corner 0). The scanner
+    anchors at the same corner through the spatial rank and recomputes
+    every circumcenter when the rank's grid changes, so each answer equals
+    `_diagram_largest_empty_circle(build_diagram(...))` of the current
+    packing, ties included.
+
+    Guards: every edge of every created triangle is tested exactly. A
+    strictly violated edge (a wrong triangulation) or a created triangle
+    with a synthetic corner (the hull changed) makes the scanner
+    triangulate the packing again. An exactly cocircular edge, or two
+    circumcenters within eps_merge, would make a build merge vertices,
+    which the scanner does not reproduce: from then on every answer comes
+    from a full build, as does the validation of an insertion the packing
+    would not accept."""
+
+    def __init__(self, config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
+        if config.domain.is_torus:
+            raise ValueError("BoxScanner requires a box domain")
+        _require_usable(config, tol)
+        self.config = config
+        self.tol = tol
+        self._region = _analysis_region(config.domain)
+        self._centers = list(config.centers)
+        self._xs = [p[0] for p in self._centers]
+        self._ys = [p[1] for p in self._centers]
+        self._grid = _NeighborGrid(config.domain, self._centers)
+        self._rebuild = False
+        self._next_cid = 0
+        self._seed()
+
+    def max_empty(self):
+        if self._rebuild:
+            current = replace(self.config, centers=tuple(self._centers))
+            return _diagram_largest_empty_circle(build_diagram(current, self.tol))
+        heap, cand = self._heap, self._cand
+        while True:
+            neg_r, x, y, cid = heap[0]
+            c = cand.get(cid)
+            if c is not None and c[2] == -neg_r:
+                return Point(x, y), -neg_r
+            heapq.heappop(heap)
+
+    def insert(self, p: Point):
+        if self._rebuild:
+            self._append(p)
+            return
+        radius = self.max_empty()[1]
+        if not self.config.domain.contains(p) or (
+            self._grid.nearest(p)[0] < 2.0 - self.tol.eps_eq
+        ):
+            self._append(p)
+            return self._give_up()
+        self._append(p)
+        try:
+            self._tri.add_point(p[0], p[1])
+        except (ValueError, RuntimeError):
+            return self._seed()
+        perm = self._perm
+        perm.append(len(self._centers) - 1)
+        created = self._tri.created_slots()
+        if any(min(row) < 0 for row in created):
+            return self._seed()  # the hull changed
+        new = {slot: (perm[a], perm[b], perm[c]) for slot, a, b, c in created}
+        touched = set()
+        for slot in new:
+            old = self._tris.pop(slot, None)
+            if old is not None:
+                self._forget(slot, old)
+                touched.update(_undirected_edges(old))
+        for slot, t in new.items():
+            self._add_triangle(slot, t)
+            touched.update(_undirected_edges(t))
+        for t in new.values():
+            for i, j in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                twin = self._dedge.get((j, i))
+                if twin is not None:
+                    side = self._incircle(t, twin[1])
+                    if side > 0:
+                        return self._seed()
+                    if side == 0:
+                        return self._give_up()
+        if _spatial_grid(self._xs, self._ys) != self._spatial:
+            return self._rescan()
+        self._rank.append(self._rank_of(len(self._xs) - 1))
+        if not self._place_circumcenters(new):
+            return self._give_up()
+        for slot in new:
+            self._push_vertex(slot)
+        for i, j in touched:
+            for cid in self._edge_cand.pop((i, j), ()):
+                del self._cand[cid]
+            self._push_edge(i, j)
+        self._rescore(p, radius)
+
+    # -- state --------------------------------------------------------------
+
+    def _append(self, p):
+        self._centers.append(p)
+        self._xs.append(p[0])
+        self._ys.append(p[1])
+        self._grid.add(p)
+
+    def _give_up(self):
+        """Answer every later step with a full build."""
+        self._rebuild = True
+
+    def _seed(self):
+        """Triangulate the current packing from scratch."""
+        current = replace(self.config, centers=tuple(self._centers))
+        _, _, _, self._tri, self._perm = _box_triangulate(current)
+        perm = self._perm
+        self._tris, self._dedge = {}, {}
+        for slot, a, b, c in self._tri.triangle_slots():
+            self._add_triangle(slot, (perm[a], perm[b], perm[c]))
+        # verification rules out violated edges, not cocircular ones
+        for (i, j), (slot, _) in self._dedge.items():
+            twin = self._dedge.get((j, i))
+            if i < j and twin is not None and self._incircle(self._tris[slot], twin[1]) == 0:
+                return self._give_up()
+        self._rescan()
+
+    def _add_triangle(self, slot, t):
+        a, b, c = t
+        self._tris[slot] = t
+        dedge = self._dedge  # directed CCW edge -> (slot, opposite corner)
+        dedge[(a, b)] = (slot, c)
+        dedge[(b, c)] = (slot, a)
+        dedge[(c, a)] = (slot, b)
+
+    def _forget(self, slot, t):
+        a, b, c = t
+        dedge = self._dedge
+        del dedge[(a, b)], dedge[(b, c)], dedge[(c, a)]
+        cid = self._vertex_cand.pop(slot, None)
+        if cid is not None:
+            del self._cand[cid]
+        x, y = self._cc.pop(slot)
+        eps = self.tol.eps_merge
+        self._cc_bins[(math.floor(x / eps), math.floor(y / eps))].remove(slot)
+
+    def _incircle(self, t, d):
+        c = self._centers
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = c[t[0]], c[t[1]], c[t[2]], c[d]
+        return backend.incircle(ax, ay, bx, by, cx, cy, dx, dy)
+
+    def _rescan(self):
+        """Spatial ranks, circumcenters and candidates of the live
+        triangulation, all computed afresh."""
+        xs, ys = self._xs, self._ys
+        self._spatial = _spatial_grid(xs, ys)
+        self._rank_of = _spatial_rank(self._spatial, xs, ys)
+        self._rank = [self._rank_of(i) for i in range(len(xs))]
+        self._cc, self._cc_bins = {}, {}
+        self._cand, self._bins, self._heap = {}, {}, []
+        self._vertex_cand, self._edge_cand = {}, {}
+        if not self._place_circumcenters(self._tris):
+            return self._give_up()
+        for slot in self._tris:
+            self._push_vertex(slot)
+        for i, j in self._dedge:
+            if i < j or (j, i) not in self._dedge:
+                self._push_edge(min(i, j), max(i, j))
+        x0, y0, x1, y1 = self._region
+        for x, y in ((x0, y0), (x1, y0), (x0, y1), (x1, y1)):
+            self._push(x, y)
+
+    def _place_circumcenters(self, tris):
+        """Circumcenters of `tris` (slot -> triple), each from its corner of
+        highest spatial rank. False when one is not finite or lies within
+        eps_merge of another live one."""
+        rank, xs, ys = self._rank, self._xs, self._ys
+        slots, rows = [], []
+        for slot, (a, b, c) in tris.items():
+            ra, rb, rc = rank[a], rank[b], rank[c]
+            if ra > rb and ra > rc:
+                rows.append((a, b, c))
+            elif rb > rc:
+                rows.append((b, c, a))
+            else:
+                rows.append((c, a, b))
+            slots.append(slot)
+        ids = np.array(rows, dtype=np.intp)
+        cx, cy, _ = _circumdata(np.array(xs)[ids], np.array(ys)[ids])
+        eps = self.tol.eps_merge
+        cc, bins = self._cc, self._cc_bins
+        for slot, x, y in zip(slots, cx.tolist(), cy.tolist()):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                return False
+            bx, by = math.floor(x / eps), math.floor(y / eps)
+            for kx in (bx - 1, bx, bx + 1):
+                for ky in (by - 1, by, by + 1):
+                    for other in bins.get((kx, ky), ()):
+                        ox, oy = cc[other]
+                        if math.hypot(x - ox, y - oy) <= eps:
+                            return False
+            bins.setdefault((bx, by), []).append(slot)
+            cc[slot] = (x, y)
+        return True
+
+    # -- candidates ---------------------------------------------------------
+
+    def _push(self, x, y):
+        r = self._grid.nearest((x, y))[0]
+        cid = self._next_cid
+        self._next_cid += 1
+        self._cand[cid] = (x, y, r)
+        self._bins.setdefault((int(x // _BIN), int(y // _BIN)), []).append(cid)
+        heapq.heappush(self._heap, (-r, x, y, cid))
+        return cid
+
+    def _push_vertex(self, slot):
+        x, y = self._cc[slot]
+        x0, y0, x1, y1 = self._region
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            self._vertex_cand[slot] = self._push(x, y)
+
+    def _push_edge(self, i, j):
+        """Region crossings of the Voronoi edge of Delaunay edge (i, j),
+        i < j, as `_build_box` clips it; nothing if the edge is gone."""
+        first, second = self._dedge.get((i, j)), self._dedge.get((j, i))
+        if first is None and second is None:
+            return
+        domain, cc = self.config.domain, self._cc
+        if first is not None and second is not None:
+            p1, p2 = cc[first[0]], cc[second[0]]
+            if p2 < p1:
+                p1, p2 = p2, p1
+        else:
+            slot, k = first or second
+            p1 = cc[slot]
+            c = self._centers
+            p2 = _hull_ray_end(p1, c[i], c[j], c[k], domain.width, domain.height)
+        clip = _box_edge_segment(p1, p2, domain.width, domain.height, self.tol.eps_eq)
+        if clip is not None:
+            crossings = _region_crossings(clip[0], clip[1], self._region)
+            if crossings:
+                self._edge_cand[(i, j)] = [self._push(x, y) for x, y in crossings]
+
+    def _rescore(self, p, radius):
+        """Lower r to the distance to the new center p where that is
+        nearer; such candidates lie within `radius`, the top radius
+        before p was inserted. When that square spans more buckets than
+        exist, the existing ones are filtered instead."""
+        cand, bins, heap = self._cand, self._bins, self._heap
+        distance = self.config.domain.distance
+        span_x = range(int((p[0] - radius) // _BIN), int((p[0] + radius) // _BIN) + 1)
+        span_y = range(int((p[1] - radius) // _BIN), int((p[1] + radius) // _BIN) + 1)
+        if len(span_x) * len(span_y) > len(bins):
+            keys = [k for k in bins if k[0] in span_x and k[1] in span_y]
+        else:
+            keys = [(bx, by) for bx in span_x for by in span_y if (bx, by) in bins]
+        for key in keys:
+            bucket = bins[key]
+            bucket[:] = [cid for cid in bucket if cid in cand]
+            for cid in bucket:
+                x, y, r = cand[cid]
+                d = distance((x, y), p)
+                if d < r:
+                    cand[cid] = (x, y, d)
+                    heapq.heappush(heap, (-d, x, y, cid))
+
+
+def _undirected_edges(t):
+    a, b, c = t
+    return ((min(a, b), max(a, b)), (min(b, c), max(b, c)), (min(c, a), max(c, a)))
+
+
 def largest_empty_circle(
     config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL
 ):
     """Center and radius of the largest circle empty of configuration
-    points, over the analysis region (see `_diagram_largest_empty_circle`).
+    points, over the analysis region (see `_diagram_largest_empty_circle`),
+    from a fresh `TorusScanner` or `BoxScanner`; neither assembles edges
+    and cells."""
+    scanner = TorusScanner if config.domain.is_torus else BoxScanner
+    return scanner(config, tol).max_empty()
 
-    A torus is scanned on its replicated block (`TorusScanner`) without
-    assembling edges and cells; a box is read off its full diagram."""
-    if config.domain.is_torus:
-        return TorusScanner(config, tol).max_empty()
-    return _diagram_largest_empty_circle(build_diagram(config, tol))
+
+def _box_candidate_keys(diagram: VoronoiDiagram):
+    """(-r, x, y) of every largest-empty-circle candidate of a built box
+    diagram: the Voronoi vertices in the analysis region, the crossings of
+    the region boundary by the edges, and the region corners, each with
+    its nearest-center distance r from a `_NeighborGrid` ring search."""
+    config = diagram.config
+    region = _analysis_region(config.domain)
+    x0, y0, x1, y1 = region
+    candidates = []
+    for v in diagram.vertices:
+        px, py = v.position
+        if x0 <= px <= x1 and y0 <= py <= y1:
+            candidates.append((px, py))
+    for e in diagram.edges:
+        candidates.extend(_region_crossings(e.endpoints[0], e.endpoints[1], region))
+    candidates.extend([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+    nearest = _NeighborGrid(config.domain, config.centers).nearest
+    return [(-nearest((px, py))[0], px, py) for (px, py) in candidates]
 
 
 def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
@@ -1082,8 +1458,7 @@ def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
     lexicographically smallest canonical position. Box: the search region
     is the margin-shrunk rectangle, where the maximum sits at a Voronoi
     vertex, at an edge crossing of the region boundary, or at a region
-    corner; all three candidate families are examined, each by its
-    nearest-center distance from a `_NeighborGrid` ring search."""
+    corner (`_box_candidate_keys`); ties break the same way."""
     config = diagram.config
     if config.domain.is_torus:
         best = min(
@@ -1091,35 +1466,7 @@ def _diagram_largest_empty_circle(diagram: VoronoiDiagram):
             key=lambda v: (-v.circumradius, v.position[0], v.position[1]),
         )
         return best.position, best.circumradius
-
-    domain = config.domain
-    w, h, m = domain.width, domain.height, domain.margin
-    x0, y0, x1, y1 = m, m, w - m, h - m
-    if not (x0 < x1 and y0 < y1):
-        raise DegenerateGeometryError("margin leaves no analysis region")
-    candidates = []
-    for v in diagram.vertices:
-        px, py = v.position
-        if x0 <= px <= x1 and y0 <= py <= y1:
-            candidates.append((px, py))
-    for e in diagram.edges:
-        (ax, ay), (bx, by) = e.endpoints
-        clip = _clip_segment_rect(ax - x0, ay - y0, bx - x0, by - y0, x1 - x0, y1 - y0)
-        if clip is None:
-            continue
-        (c1, c2, t0, t1) = clip
-        if t0 > 0.0:
-            candidates.append((c1[0] + x0, c1[1] + y0))
-        if t1 < 1.0:
-            candidates.append((c2[0] + x0, c2[1] + y0))
-    candidates.extend([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
-    nearest = _NeighborGrid(domain, config.centers).nearest
-    best = None
-    for (px, py) in candidates:
-        r = nearest((px, py))[0]
-        item = (-r, px, py)
-        if best is None or item < best:
-            best = item
+    best = min(_box_candidate_keys(diagram))
     return Point(best[1], best[2]), -best[0]
 
 

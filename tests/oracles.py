@@ -126,3 +126,30 @@ def torus_block_rescan(tri, labels, domain):
     rx, ry = _wrap_arrays(domain, cx, cy)
     order = np.lexsort((ry, rx, -r))
     return list(zip((-r[order]).tolist(), rx[order].tolist(), ry[order].tolist()))
+
+
+def gauss_reduce_fraction(b1, b2):
+    """Lagrange-Gauss reduction over `Fraction`: swap so |u| <= |v|, then
+    subtract the rounded projection coefficient floor(<u,v>/|u|^2 + 1/2)
+    and swap while |v| < |u|. Returns the reduced basis as floats and the
+    unimodular map (rows for the output u and v)."""
+    u = (Fraction(b1[0]), Fraction(b1[1]))
+    v = (Fraction(b2[0]), Fraction(b2[1]))
+
+    def norm2(p):
+        return p[0] * p[0] + p[1] * p[1]
+
+    mu, mv = (1, 0), (0, 1)
+    if norm2(u) > norm2(v):
+        u, v, mu, mv = v, u, mv, mu
+    while True:
+        nu = norm2(u)
+        t = (2 * (u[0] * v[0] + u[1] * v[1]) + nu) // (2 * nu)
+        if t != 0:
+            v = (v[0] - t * u[0], v[1] - t * u[1])
+            mv = (mv[0] - t * mu[0], mv[1] - t * mu[1])
+        if norm2(v) < nu:
+            u, v, mu, mv = v, u, mv, mu
+        else:
+            break
+    return ((float(u[0]), float(u[1])), (float(v[0]), float(v[1]))), (mu, mv)

@@ -1,10 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from thuelab.geometry import DegenerateGeometryError
+from thuelab.geometry import DEFAULT_TOL, DegenerateGeometryError
 from thuelab.lattice import (
     HEX_MIN_DET,
     Basis2,
@@ -98,6 +101,53 @@ class TestGaussReduce:
             for v, w in zip(red.basis, scaled.basis):
                 assert w[0] == pytest.approx(s * v[0], rel=1e-12, abs=1e-12)
                 assert w[1] == pytest.approx(s * v[1], rel=1e-12, abs=1e-12)
+
+
+def _coordinate():
+    """Doubles of either sign with binary exponents from -40 to 40."""
+    return st.builds(
+        lambda m, e: math.ldexp(m, e),
+        st.floats(-1.0, 1.0, allow_nan=False),
+        st.integers(-40, 40),
+    )
+
+
+@st.composite
+def _bases(draw):
+    """Random bases, and hexagonal or square lattice bases (whose
+    reduction meets the ties |b2 + b1| == |b2 - b1| and <u, v> = |u|^2 / 2)
+    scaled by a power of two and skewed by a unimodular map."""
+    kind = draw(st.sampled_from(["random", "hex", "square"]))
+    if kind == "random":
+        return Basis2((draw(_coordinate()), draw(_coordinate())),
+                      (draw(_coordinate()), draw(_coordinate())))
+    s = math.ldexp(1.0, draw(st.integers(-20, 20)))
+    u, v = ((2.0 * s, 0.0), (s, SQRT3 * s)) if kind == "hex" else ((s, 0.0), (0.0, s))
+    for k in draw(st.lists(st.integers(-4, 4), max_size=4)):
+        u, v = v, (v[0] + k * u[0], v[1] + k * u[1])
+    return Basis2(u, v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bases())
+def test_gauss_reduce_matches_fraction_oracle(b):
+    # the integer reduction gives the very floats and map of the rational one
+    exact_det = Fraction(b.b1[0]) * Fraction(b.b2[1]) - Fraction(b.b1[1]) * Fraction(b.b2[0])
+    if exact_det == 0 or abs(det(b)) <= DEFAULT_TOL.eps_eq ** 2:
+        with pytest.raises(DegenerateGeometryError):
+            gauss_reduce(b)
+        return
+    basis, unimodular = oracles.gauss_reduce_fraction(b.b1, b.b2)
+    red = gauss_reduce(b)
+    assert (tuple(red.basis.b1), tuple(red.basis.b2)) == basis
+    assert red.unimodular_map == unimodular
+
+
+def test_gauss_reduce_hex_tie_rounds_half_up():
+    # <u, v> / |u|^2 == 1/2 exactly: the coefficient rounds to 1
+    red = gauss_reduce(Basis2((2.0, 0.0), (1.0, 5.0)))
+    assert red.basis == Basis2((2.0, 0.0), (-1.0, 5.0))
+    assert red.unimodular_map == ((1, 0), (-1, 1))
 
 
 class TestShortestVector:

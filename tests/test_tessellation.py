@@ -8,6 +8,7 @@ from thuelab import backend
 from thuelab.geometry import DEFAULT_TOL, Point, polygon_area
 from thuelab.packing import Domain, PackingConfiguration, gen_random, greedy_saturate, perturb
 from thuelab.tessellation import (
+    BoxScanner,
     TorusScanner,
     build_diagram,
     classify_edge_pitteway,
@@ -561,6 +562,164 @@ class TestTorusScanner:
         assert r3 == pytest.approx(r2, abs=1e-9)
 
 
+def _jittered_hex_box(seed, cols=9, rows=11, spacing=2.5, holes=5):
+    """A loose hexagonal lattice in a 24 x 24 box (margin 4) with `holes`
+    sites of even column and row index removed inside [5, 19]^2, each
+    center then moved by at most 0.12, like perfbench's box workload."""
+    dy = spacing * SQRT3 / 2.0
+    sites = {
+        (i, j): (0.75 + (i + 0.5 * (j % 2)) * spacing, 0.75 + j * dy)
+        for j in range(rows)
+        for i in range(cols)
+    }
+    rng = random.Random(seed)
+    inner = [
+        k for k, (x, y) in sites.items()
+        if k[0] % 2 == 0 and k[1] % 2 == 0 and 5.0 <= x <= 19.0 and 5.0 <= y <= 19.0
+    ]
+    removed = set(rng.sample(inner, holes))
+    loose = PackingConfiguration(
+        Domain("box", 24.0, 24.0, margin=4.0),
+        tuple(p for k, p in sites.items() if k not in removed),
+    )
+    return perturb(loose, seed=seed, magnitude=0.12)
+
+
+def _square3_box():
+    """8 x 8 square grid of spacing 3 in a 24 x 24 box: 49 cocircular
+    vertices, 25 of them empty circles of radius 3 / sqrt(2) to fill."""
+    pts = [(1.5 + 3.0 * i, 1.5 + 3.0 * j) for j in range(8) for i in range(8)]
+    return PackingConfiguration(Domain("box", 24.0, 24.0), tuple(pts))
+
+
+class TestBoxScanner:
+    """The incremental box scan answers exactly what a full build of the
+    current packing answers, at every saturation step."""
+
+    @staticmethod
+    def _drive(cfg):
+        """Saturate through a BoxScanner; at every step compare its answer
+        with `_diagram_largest_empty_circle` of a fresh build and, while it
+        scans incrementally, its live candidates with the build's."""
+        from dataclasses import replace
+
+        from thuelab.tessellation import _box_candidate_keys, _diagram_largest_empty_circle
+
+        scanner = BoxScanner(cfg)
+        centers = list(cfg.centers)
+        for _ in range(400):
+            diagram = build_diagram(replace(cfg, centers=tuple(centers)))
+            pos, r = scanner.max_empty()
+            assert (pos, r) == _diagram_largest_empty_circle(diagram)
+            if not scanner._rebuild:
+                live = sorted((-c[2], c[0], c[1]) for c in scanner._cand.values())
+                assert live == sorted(_box_candidate_keys(diagram))
+            if r < 2.0 - DEFAULT_TOL.eps_eq:
+                break
+            scanner.insert(pos)
+            centers.append(pos)
+        else:
+            pytest.fail("saturation loop did not converge")
+        return tuple(centers)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "rsa20-m2-s0", "rsa20-m2-s1", "rsa20-m2-s2",
+            "rsa24-m4-s0", "rsa24-m4-s1", "rsa24-m4-s2",
+            "jittered-hex", "square3",
+        ],
+    )
+    def test_matches_rebuild_stepwise(self, name, monkeypatch):
+        from thuelab import tessellation
+
+        rebuilds = []
+        real = tessellation.build_diagram
+
+        def counting(config, tol=DEFAULT_TOL):
+            rebuilds.append(config.n)
+            return real(config, tol)
+
+        # counts the scanner's full builds only: the test's own oracle
+        # builds go through the name imported at the top of this module
+        monkeypatch.setattr(tessellation, "build_diagram", counting)
+        if name.startswith("rsa"):
+            side, margin, seed = name[3:].split("-")
+            cfg = gen_random(
+                Domain("box", float(side), float(side), margin=float(margin[1:])),
+                seed=int(seed[1:]),
+            )
+        elif name == "jittered-hex":
+            cfg = _jittered_hex_box(seed=3)
+        else:
+            cfg = _square3_box()
+        centers = self._drive(cfg)
+        added = len(centers) - cfg.n
+        assert added > 0
+        if name == "square3":
+            # cocircular from the start: every step is a full build
+            assert (cfg.n, added) == (64, 25)
+            assert len(rebuilds) == added + 1
+        else:
+            assert rebuilds == []
+        assert greedy_saturate(cfg).centers == centers
+
+    def test_hull_changing_insertion_retriangulates(self, monkeypatch):
+        # a sparse box: some insertions land outside the hull of the
+        # centers, and the kernel reports triangles with a synthetic corner
+        seeds = []
+        real = BoxScanner._seed
+
+        def counting(scanner):
+            seeds.append(len(scanner._centers))
+            return real(scanner)
+
+        monkeypatch.setattr(BoxScanner, "_seed", counting)
+        cfg = gen_random(Domain("box", 30.0, 30.0, margin=2.0), seed=0, max_failures=15)
+        centers = self._drive(cfg)
+        assert len(centers) - cfg.n > 30
+        assert len(seeds) >= 2 and seeds[0] == cfg.n
+        assert greedy_saturate(cfg).centers == centers
+
+    def test_invalid_insertion_raises_like_a_build(self):
+        # with margin 0 a region corner can be the largest empty circle;
+        # the far corner lies outside the half-open box, and the next
+        # answer comes from a build, whose validation rejects it
+        cfg = gen_random(Domain("box", 20.0, 20.0, margin=0.0), seed=3, max_failures=30)
+        with pytest.raises(ValueError, match="outside"):
+            greedy_saturate(cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_corner_zero_comes_last_in_spatial_order(self, seed):
+        # the scanner's circumcenter anchor: in a fresh box triangulation
+        # every triangle's kernel corner 0 is its corner of highest
+        # spatial rank
+        from thuelab.tessellation import _box_triangulate, _spatial_grid, _spatial_rank
+
+        cfg = gen_random(Domain("box", 30.0, 30.0), seed=seed)
+        xs = [p[0] for p in cfg.centers]
+        ys = [p[1] for p in cfg.centers]
+        rank = _spatial_rank(_spatial_grid(xs, ys), xs, ys)
+        _, _, _, tri, perm = _box_triangulate(cfg)
+        rows = tri.triangle_slots()
+        assert rows
+        for _, a, b, c in rows:
+            assert rank(perm[a]) > max(rank(perm[b]), rank(perm[c]))
+
+    def test_two_vertex_edges_run_from_smaller_endpoint(self):
+        cfg = greedy_saturate(gen_random(Domain("box", 30.0, 30.0), seed=4))
+        dia = build_diagram(cfg)
+        both = [e for e in dia.edges if min(e.vertex_indices) >= 0]
+        assert both
+        for e in both:
+            va, vb = e.vertex_indices
+            assert dia.vertices[va].position < dia.vertices[vb].position
+
+    def test_requires_box(self, hex_torus):
+        with pytest.raises(ValueError):
+            BoxScanner(hex_torus)
+
+
 class TestSharedAssembly:
     """Torus and box share the vertex assembly, the center -> vertex
     incidence and the largest-empty-circle routine of a built diagram."""
@@ -655,8 +814,10 @@ class TestBoxDelaunayCheck:
     interior edge locally Delaunay, plus hull coverage."""
 
     def test_runs_above_256_centers(self, monkeypatch):
-        # a perturbed 16 x 17 hex lattice: the first triangulation of these
-        # 272 centres misses a hull triangle, which only the check notices
+        # a perturbed 16 x 17 hex lattice: triangulated within bounds as
+        # tight as its bounding box, these 272 centres lose a hull
+        # triangle, which only the check notices; the default bounds
+        # triangulate them once
         from thuelab import tessellation
 
         sites = [
@@ -674,6 +835,10 @@ class TestBoxDelaunayCheck:
             return verdicts[-1]
 
         monkeypatch.setattr(tessellation, "_verify_box_delaunay", recording)
+        assert delaunay(cfg).triangles
+        assert verdicts == [True]
+        verdicts.clear()
+        monkeypatch.setattr(tessellation, "_BOX_INFLATE", 1.0)
         tri = delaunay(cfg)
         assert verdicts == [False, True]
 
