@@ -19,6 +19,11 @@ vertex whose generator set is the union, which is what turns exactly
 cocircular configurations (square grids) into degenerate vertices of
 degree >= 4. The center -> vertex incidence of the merged vertices gives
 the torus cells directly and names the corners of the clipped box cells.
+Both domains also share one edge routine (`_voronoi_edges`): each
+Delaunay edge whose two triangles belong to two distinct merged vertices
+is one Voronoi edge between them, and on a box a hull edge is a ray. Box
+edges are clipped to the rectangle by `_box_edge_segment`, which the box
+scanner uses too.
 
 A build has one product, the `VoronoiDiagram`. It keeps the triangle
 lists of its Delaunay dual, and a `Triangulation` is a view on them:
@@ -476,20 +481,7 @@ class _TorusBlock:
     Keeps the kernel triangulator alive so saturation can insert points
     incrementally (each torus insertion adds all (2k+1)^2 copies), and the
     block coordinates (as doubles, which numpy reads without a copy) and
-    labels of its points in kernel order.
-
-    The largest empty circle comes from a max-heap of the central
-    triangles (those with a corner in the central copy) keyed
-    (-circumradius, wrapped circumcenter), the lexicographic tie-break of a
-    full scan. The `central_triangles` listing that validated the block
-    seeds it (`seed_heap`); after that each insertion pushes only the
-    central triangles the kernel reports as created. A cavity of c
-    triangles has c + 2 boundary edges and the kernel reuses freed slots
-    first, so every slot an insertion kills is written again by that
-    insertion and shows up in its report. `_live` maps each slot to its
-    current heap entry, so an entry whose slot was rewritten (or reborn
-    without a central corner) goes stale and is dropped when it reaches
-    the top."""
+    labels of its points in kernel order."""
 
     def __init__(self, config: PackingConfiguration, k: int):
         self.config = config
@@ -514,18 +506,16 @@ class _TorusBlock:
             tri.add_point(x, y)
         self.tri = tri
         self.n_centers = len(config.centers)
-        self._listing = None  # the last central_triangles listing, with slots
-        self._heap = []
-        self._live = {}
 
     def insert_center(self, p: Point):
         """Insert a new torus center (canonical coordinates) and all its
-        periodic copies, and push the central triangles they create."""
+        periodic copies. Returns the kernel slots they wrote, each with its
+        last triple of point ids: a later copy may rewrite a slot."""
         w = self.config.domain.width
         h = self.config.domain.height
         i = self.n_centers
         self.n_centers += 1
-        written = {}  # slot -> its last triple; a later copy may rewrite it
+        written = {}
         for (sx, sy) in self.shifts:
             x, y = p[0] + sx * w, p[1] + sy * h
             self.tri.add_point(x, y)
@@ -534,24 +524,12 @@ class _TorusBlock:
             self.labels.append((i, sx, sy))
             for slot, a, b, c in self.tri.created_slots():
                 written[slot] = (a, b, c)
-        lab, xs, ys = self.labels, self.xs, self.ys
-        slots, px, py = [], [], []
-        for slot, t in written.items():
-            self._live.pop(slot, None)
-            if min(t) >= 0 and any(lab[v][1] == 0 and lab[v][2] == 0 for v in t):
-                slots.append(slot)
-                px.append([xs[v] for v in t])
-                py.append([ys[v] for v in t])
-        if slots:
-            cx, cy, r = _circumdata(np.array(px), np.array(py))
-            for entry in self._entries(slots, cx, cy, r):
-                heapq.heappush(self._heap, entry)
-        return i
+        return written
 
     def central_triangles(self):
-        """Triangles with at least one vertex in the central copy, plus
-        their circumcenters/radii (block coordinates). The listing, with
-        the triangles' kernel slots, is kept to seed the heap."""
+        """Kernel slots and point-id triples of the triangles with at least
+        one vertex in the central copy, plus their circumcenters/radii
+        (block coordinates)."""
         rows = self.tri.triangle_slots()
         listing = np.fromiter(chain.from_iterable(rows), dtype=np.int32, count=4 * len(rows))
         del rows  # the tuples outweigh the array; free them first
@@ -567,49 +545,20 @@ class _TorusBlock:
             raise DegenerateGeometryError("replicated triangulation is empty")
         slots, ids = listing[central, 0].tolist(), ids[central]
         cx, cy, r = _circumdata(np.frombuffer(self.xs)[ids], np.frombuffer(self.ys)[ids])
-        self._listing = (slots, cx, cy, r)
-        return ids.tolist(), cx, cy, r
-
-    def _entries(self, slots, cx, cy, r):
-        """Heap entries (-r, rx, ry, slot), each made the live one of its
-        slot."""
-        rx, ry = _wrap_arrays(self.config.domain, cx, cy)
-        entries = list(zip((-r).tolist(), rx.tolist(), ry.tolist(), slots))
-        live = self._live
-        for entry in entries:
-            live[entry[3]] = entry
-        return entries
-
-    def seed_heap(self):
-        """Fill the heap from the last central listing, which the block's
-        validation made; insertions keep it current from then on."""
-        self._heap = self._entries(*self._listing)
-        self._listing = None
-        heapq.heapify(self._heap)
+        return slots, ids.tolist(), cx, cy, r
 
     def radius_bound(self) -> float:
         return self.k * min(self.config.domain.width, self.config.domain.height) / 2.0
 
-    def max_empty(self):
-        """Largest circumradius over torus Voronoi vertices, with its
-        canonical position; ties break lexicographically."""
-        heap, live = self._heap, self._live
-        while live.get(heap[0][3]) is not heap[0]:
-            heapq.heappop(heap)
-        neg_r, x, y, _ = heap[0]
-        if -neg_r >= self.radius_bound():
-            raise DegenerateGeometryError(
-                "circumradius exceeds the replication guarantee"
-            )
-        return Point(x, y), -neg_r
-
 
 def _torus_vertices(config, tol, block):
-    """Merged Voronoi vertices of the torus from the replicated block.
+    """Merged Voronoi vertices of the torus from the replicated block, and
+    the slots and circumcenters/radii of the `central_triangles` listing
+    they came from.
 
     Returns None when the block's canonical polygons fail to tile the
     torus rectangle, which signals that k must grow."""
-    central, ccx, ccy, rad = block.central_triangles()
+    slots, central, ccx, ccy, rad = block.central_triangles()
     if float(np.max(rad)) >= block.radius_bound():
         return None
     vertices, _ = _assemble_vertices(config, tol, central, block.labels, ccx, ccy)
@@ -618,20 +567,22 @@ def _torus_vertices(config, tol, block):
     area = config.domain.area
     if abs(_polygon_area_sum(vertices) - area) > 1e-9 * max(1.0, area):
         return None
-    return vertices
+    return vertices, (slots, ccx, ccy, rad)
 
 
 def _fan_triangulation(vertices):
     """Canonical triangles: fan every vertex's generator polygon from its
-    lexicographically smallest generator."""
-    triples, shifts, points = [], [], []
+    lexicographically smallest generator. Returns their triples, shifts
+    and points, and the triangle -> vertex index map."""
+    triples, shifts, points, tri_vertex = [], [], [], []
     for v in vertices:
         gi, gs, gp = v.generators, v.generator_shifts, v.generator_points
         for k in range(1, len(gi) - 1):
             triples.append((gi[0], gi[k], gi[k + 1]))
             shifts.append((gs[0], gs[k], gs[k + 1]))
             points.append((gp[0], gp[k], gp[k + 1]))
-    return triples, shifts, points
+            tri_vertex.append(v.index)
+    return triples, shifts, points, tri_vertex
 
 
 def _triangle_neighbors(triples, shifts, closed: bool):
@@ -658,50 +609,61 @@ def _triangle_neighbors(triples, shifts, closed: bool):
     return [tuple(nb) for nb in neighbors], edge_map
 
 
-def _torus_edges(vertices):
-    """Voronoi edges from consecutive generator pairs around each vertex."""
-    sides = {}
-    for v in vertices:
-        d = v.degree
-        for t in range(d):
-            u = (t + 1) % d
-            ia, sa = v.generators[t], v.generator_shifts[t]
-            ib, sb = v.generators[u], v.generator_shifts[u]
-            key = _edge_key(ia, sa, ib, sb)
-            rec = (v, (ia, sa, v.generator_points[t]), (ib, sb, v.generator_points[u]))
-            sides.setdefault(key, []).append(rec)
+def _voronoi_edges(config, tol, vertices, tri_vertex, tris, points, edge_map):
+    """Voronoi edges of both domains, one per key of the Delaunay edge map
+    (`_triangle_neighbors`), in sorted key order.
 
+    A key whose two triangles merged into one vertex is a diagonal of a
+    cocircular polygon and gives no edge. Otherwise the edge runs from the
+    vertex of smaller index, and its generators are the side the key names
+    in that vertex's triangle: in the triangle's CCW order on a torus, in
+    key order on a box. On a torus the other vertex moves into the first
+    one's frame by the offset between the two triangles' copies of the
+    first generator (the second triangle runs the side the other way). On
+    a box a key with one triangle is a hull ray, and every edge is clipped
+    to the rectangle by `_box_edge_segment`."""
+    torus = config.domain.is_torus
+    w, h = config.domain.width, config.domain.height
     edges = []
-    for key in sorted(sides):
-        uses = sides[key]
-        if len(uses) != 2:
-            raise DegenerateGeometryError(
-                f"voronoi edge {key} borders {len(uses)} vertices"
-            )
-        (v1, a1, b1), (v2, a2, b2) = uses
-        ds1 = (b1[1][0] - a1[1][0], b1[1][1] - a1[1][1])
-        ds2 = (b2[1][0] - a2[1][0], b2[1][1] - a2[1][1])
-        if a1[0] != b1[0]:
-            # distinct centers: match rec2's slots by center index
-            same_orientation = a2[0] == a1[0]
+    for key in sorted(edge_map):
+        uses = edge_map[key]
+        t1, k1 = uses[0]
+        va, vb = tri_vertex[t1], -1
+        if len(uses) == 2:
+            t2, k2 = uses[1]
+            vb = tri_vertex[t2]
+            if va == vb:
+                continue  # diagonal inside a cocircular polygon, zero length
+            if vb < va:
+                va, vb, t1, k1, t2, k2 = vb, va, t2, k2, t1, k1
+        a, b = (k1 + 1) % 3, (k1 + 2) % 3
+        if not torus and tris[t1][a] > tris[t1][b]:
+            a, b = b, a  # a box edge names its generators in key order
+        gens = (tris[t1][a], tris[t1][b])
+        gpts = (points[t1][a], points[t1][b])
+        p1 = vertices[va].position
+        p2 = vertices[vb].position if vb >= 0 else None
+        clipped = False
+        if torus:
+            partner = points[t2][(k2 + 2) % 3]
+            tx, ty = gpts[0][0] - partner[0], gpts[0][1] - partner[1]
+            endpoints = (p1, Point(p2[0] + tx, p2[1] + ty))
         else:
-            # periodic self-edge: orientation read off the shift difference
-            same_orientation = ds2 == ds1
-        partner = a2 if same_orientation else b2
-        # translation bringing v2's frame onto v1's
-        tx = a1[2][0] - partner[2][0]
-        ty = a1[2][1] - partner[2][1]
-        p2 = Point(v2.position[0] + tx, v2.position[1] + ty)
-        gens = (a1[0], b1[0])
-        gpts = (a1[2], b1[2])
+            clip = _box_edge_segment(p1, p2, *gpts, points[t1][k1], w, h, tol.eps_eq)
+            if clip is None:
+                continue
+            e1, e2, side0, side1 = clip
+            endpoints = (Point(*e1), Point(*e2))
+            clipped = vb < 0 or side0 is not None or side1 is not None
         edges.append(
             VoronoiEdge(
                 index=len(edges),
                 generators=gens,
-                vertex_indices=(v1.index, v2.index),
-                endpoints=(v1.position, p2),
+                vertex_indices=(va, vb),
+                endpoints=endpoints,
                 generator_points=gpts,
-                pitteway=_pitteway_label(gpts, (v1.position, p2)),
+                pitteway=_pitteway_label(gpts, endpoints),
+                clipped=clipped,
             )
         )
     return edges
@@ -737,20 +699,21 @@ def _torus_cells(config, vertices):
 
 
 def _validated_block(config: PackingConfiguration, tol: ToleranceConfig):
-    """The replicated block and the merged Voronoi vertices of a torus,
-    growing the replication ring count until the construction validates.
+    """The replicated block, the merged Voronoi vertices of a torus and the
+    block's validating `central_triangles` listing, growing the
+    replication ring count until the construction validates.
     Saturation scans stop here: edges and cells stay undefined while a
     cell of a sparse configuration can wrap around the torus onto itself."""
     last_error = None
     for k in range(1, _MAX_RINGS + 1):
         block = _TorusBlock(config, k)
         try:
-            vertices = _torus_vertices(config, tol, block)
+            validated = _torus_vertices(config, tol, block)
         except DegenerateGeometryError as exc:
             last_error = exc
             continue
-        if vertices is not None:
-            return block, vertices
+        if validated is not None:
+            return (block, *validated)
     raise DegenerateGeometryError(
         f"could not validate a periodic triangulation with up to {_MAX_RINGS} "
         f"replication rings{f': {last_error}' if last_error else ''}"
@@ -758,14 +721,18 @@ def _validated_block(config: PackingConfiguration, tol: ToleranceConfig):
 
 
 def _build_torus(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDiagram:
-    _, vertices = _validated_block(config, tol)
-    triples, shifts, points = _fan_triangulation(vertices)
-    neighbors, _ = _triangle_neighbors(triples, shifts, closed=True)
+    # only the vertices: holding the 9n-point block (or its listing) through
+    # the edges and cells would raise the build's peak memory
+    vertices = _validated_block(config, tol)[1]
+    triples, shifts, points, tri_vertex = _fan_triangulation(vertices)
+    neighbors, edge_map = _triangle_neighbors(triples, shifts, closed=True)
+    edges = _voronoi_edges(config, tol, vertices, tri_vertex, triples, points, edge_map)
+    del edge_map  # the cells do not need it; free it before they are built
     return VoronoiDiagram(
         config=config,
         tol=tol,
         vertices=vertices,
-        edges=_torus_edges(vertices),
+        edges=edges,
         cells=_torus_cells(config, vertices),
         _triangles=(triples, shifts, points, neighbors),
     )
@@ -793,10 +760,14 @@ def _clip_halfplane(poly, px, py, nx, ny):
 
 
 def _clip_segment_rect(ax, ay, bx, by, w, h):
-    """Liang-Barsky clip of segment (a,b) to [0,w] x [0,h]; None if outside."""
+    """Liang-Barsky clip of segment (a,b) to [0,w] x [0,h]; None if outside.
+    Returns the two clipped ends and, for each, the rectangle side it was
+    cut at (0: x = 0, 1: x = w, 2: y = 0, 3: y = h), or None where the end
+    is a or b itself."""
     dx, dy = bx - ax, by - ay
     t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, ax), (dx, w - ax), (-dy, ay), (dy, h - ay)):
+    side0 = side1 = None
+    for side, p, q in ((0, -dx, ax), (1, dx, w - ax), (2, -dy, ay), (3, dy, h - ay)):
         if p == 0.0:
             if q < 0.0:
                 return None
@@ -806,13 +777,13 @@ def _clip_segment_rect(ax, ay, bx, by, w, h):
             if r > t1:
                 return None
             if r > t0:
-                t0 = r
+                t0, side0 = r, side
         else:
             if r < t0:
                 return None
             if r < t1:
-                t1 = r
-    return (ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy), t0, t1
+                t1, side1 = r, side
+    return (ax + t0 * dx, ay + t0 * dy), (ax + t1 * dx, ay + t1 * dy), side0, side1
 
 
 def _verify_box_delaunay(config, tris, edge_map):
@@ -861,27 +832,28 @@ def _verify_box_delaunay(config, tris, edge_map):
     return abs(tri_area - hull_area) <= 1e-9 * max(1.0, hull_area)
 
 
-def _hull_ray_end(p1, ci, cj, ck, w, h):
-    """Far end of the Voronoi ray of the box hull edge (ci, cj): from the
-    circumcenter p1 of the edge's triangle, away from its third corner
-    ck, long enough to traverse the rectangle from wherever p1 landed."""
-    dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
-    norm = math.hypot(dx, dy)
-    dx, dy = dx / norm, dy / norm
-    mx, my = 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1])
-    if (mx - ck[0]) * dx + (my - ck[1]) * dy < 0.0:
-        dx, dy = -dx, -dy
-    reach = math.hypot(p1[0] - 0.5 * w, p1[1] - 0.5 * h) + 2.0 * (w + h)
-    return (p1[0] + reach * dx, p1[1] + reach * dy)
+def _box_edge_segment(p1, p2, ci, cj, ck, w, h, eps_eq):
+    """The part inside the box rectangle of the Voronoi edge of the
+    Delaunay edge (ci, cj), as `_clip_segment_rect` gives it, or None when
+    nothing or only a zero-length stub on the boundary is left.
 
-
-def _box_edge_segment(p1, p2, w, h, eps_eq):
-    """The part of the Voronoi edge p1 -> p2 inside the box rectangle, as
-    `_clip_segment_rect` gives it, or None when nothing or only a
-    zero-length stub on the boundary is left. Callers pass a two-vertex
-    edge from its lexicographically smaller endpoint, so the clipped
-    floats do not depend on which of its triangles the kernel listed
-    first, and a hull edge from its circumcenter to `_hull_ray_end`."""
+    p1 and p2 are the circumcenters of the edge's two triangles. The edge
+    runs from the lexicographically smaller one, so the clipped floats do
+    not depend on which triangle the kernel listed first. A hull edge
+    (p2 None) is the ray from p1 away from ck, the third corner of its one
+    triangle, long enough to traverse the rectangle from wherever p1
+    landed."""
+    if p2 is None:
+        dx, dy = -(cj[1] - ci[1]), cj[0] - ci[0]
+        norm = math.hypot(dx, dy)
+        dx, dy = dx / norm, dy / norm
+        mx, my = 0.5 * (ci[0] + cj[0]), 0.5 * (ci[1] + cj[1])
+        if (mx - ck[0]) * dx + (my - ck[1]) * dy < 0.0:
+            dx, dy = -dx, -dy
+        reach = math.hypot(p1[0] - 0.5 * w, p1[1] - 0.5 * h) + 2.0 * (w + h)
+        p2 = (p1[0] + reach * dx, p1[1] + reach * dy)
+    elif p2 < p1:
+        p1, p2 = p2, p1
     clip = _clip_segment_rect(p1[0], p1[1], p2[0], p2[1], w, h)
     if clip is None:
         return None
@@ -902,17 +874,20 @@ def _analysis_region(domain):
 
 def _region_crossings(e1, e2, region):
     """Points where the (box-clipped) edge segment e1 -> e2 crosses the
-    boundary of the analysis region."""
+    boundary of the analysis region. The crossed side's coordinate is its
+    exact bound: adding the region's origin back to a clipped coordinate
+    near 0 can round it just outside."""
     x0, y0, x1, y1 = region
     clip = _clip_segment_rect(e1[0] - x0, e1[1] - y0, e2[0] - x0, e2[1] - y0, x1 - x0, y1 - y0)
-    if clip is None:
-        return []
-    (c1, c2, t0, t1) = clip
+    if clip is None or clip[2:] == (None, None):
+        return []  # outside the region, or inside it without a crossing
+    bounds = (x0, x1, y0, y1)  # per side of `_clip_segment_rect`
     out = []
-    if t0 > 0.0:
-        out.append((c1[0] + x0, c1[1] + y0))
-    if t1 < 1.0:
-        out.append((c2[0] + x0, c2[1] + y0))
+    for (cx, cy), side in ((clip[0], clip[2]), (clip[1], clip[3])):
+        if side is not None:
+            crossing = [cx + x0, cy + y0]
+            crossing[side // 2] = bounds[side]
+            out.append(tuple(crossing))
     return out
 
 
@@ -968,49 +943,14 @@ def _build_box(config: PackingConfiguration, tol: ToleranceConfig) -> VoronoiDia
     labels = [(i, 0, 0) for i in range(config.n)]
     vertices, tri_vertex = _assemble_vertices(config, tol, tris, labels, ccx, ccy)
 
-    # Voronoi edges from the Delaunay edges; their generators are the
-    # Delaunay neighbors that bound the cells below
-    neighbor_sets = [set() for _ in range(config.n)]
-    edges = []
-    for key in sorted(edge_map):
-        uses = edge_map[key]
-        i, j = key[0], key[1]
-        neighbor_sets[i].add(j)
-        neighbor_sets[j].add(i)
-        gpts = (centers[i], centers[j])
-        t, k = uses[0]
-        va = tri_vertex[t]
-        if len(uses) == 2:
-            vb = tri_vertex[uses[1][0]]
-            if va == vb:
-                continue  # diagonal inside a cocircular polygon, zero length
-            if vertices[vb].position < vertices[va].position:
-                va, vb = vb, va
-            p1, p2 = vertices[va].position, vertices[vb].position
-        else:
-            # hull edge: infinite ray from the single circumcenter, clipped
-            vb = -1
-            p1 = vertices[va].position
-            p2 = _hull_ray_end(p1, centers[i], centers[j], centers[tris[t][k]], w, h)
-        clip = _box_edge_segment(p1, p2, w, h, tol.eps_eq)
-        if clip is None:
-            continue
-        (e1, e2, t0, t1) = clip
-        endpoints = (Point(*e1), Point(*e2))
-        edges.append(
-            VoronoiEdge(
-                index=len(edges),
-                generators=(i, j),
-                vertex_indices=(va, vb),
-                endpoints=endpoints,
-                generator_points=gpts,
-                pitteway=_pitteway_label(gpts, endpoints),
-                clipped=(vb < 0 or t0 > 0.0 or t1 < 1.0),
-            )
-        )
+    edges = _voronoi_edges(config, tol, vertices, tri_vertex, tris, points, edge_map)
 
     # cells: domain rectangle intersected with the bisector half-planes of
     # the Delaunay neighbors
+    neighbor_sets = [set() for _ in range(config.n)]
+    for i, j, _, _ in edge_map:
+        neighbor_sets[i].add(j)
+        neighbor_sets[j].add(i)
     incident = _incident_vertices(config, vertices)
     cells = []
     excluded = 0
@@ -1114,24 +1054,70 @@ class TorusScanner:
     """Incremental largest-empty-circle scans for torus saturation.
 
     Validates the packing and builds a validated periodic triangulation
-    once, then supports insert/scan cycles without rebuilding: `insert`
-    adds a center's copies and pushes the central triangles they create
-    onto the block's heap, and `max_empty` drops stale entries from the
-    top of the heap. Each answer equals a full scan of the block, ties
-    included."""
+    (`_validated_block`) once, then supports insert/scan cycles without
+    rebuilding. Each answer equals a full scan of the block, ties
+    included.
+
+    The largest empty circle comes from a max-heap of the central
+    triangles (those with a corner in the central copy) keyed
+    (-circumradius, wrapped circumcenter, slot), the lexicographic
+    tie-break of a full scan. The listing that validated the block seeds
+    it; after that each insertion pushes only the central triangles the
+    kernel reports as created. A cavity of c triangles has c + 2 boundary
+    edges and the kernel reuses freed slots first, so every slot an
+    insertion kills is written again by that insertion and shows up in its
+    report. `_live` maps each slot to its current heap entry, so an entry
+    whose slot was rewritten (or reborn without a central corner) goes
+    stale and is dropped when it reaches the top."""
 
     def __init__(self, config: PackingConfiguration, tol: ToleranceConfig = DEFAULT_TOL):
         if not config.domain.is_torus:
             raise ValueError("TorusScanner requires a torus domain")
         _require_usable(config, tol)
-        self._block, _ = _validated_block(config, tol)
-        self._block.seed_heap()
+        self._block, _, (slots, cx, cy, r) = _validated_block(config, tol)
+        self._live = {}
+        self._heap = self._entries(slots, cx, cy, r)
+        heapq.heapify(self._heap)
 
     def max_empty(self):
-        return self._block.max_empty()
+        """Largest circumradius over torus Voronoi vertices, with its
+        canonical position; ties break lexicographically."""
+        heap, live = self._heap, self._live
+        while live.get(heap[0][3]) is not heap[0]:
+            heapq.heappop(heap)
+        neg_r, x, y, _ = heap[0]
+        if -neg_r >= self._block.radius_bound():
+            raise DegenerateGeometryError(
+                "circumradius exceeds the replication guarantee"
+            )
+        return Point(x, y), -neg_r
 
     def insert(self, p: Point):
-        self._block.insert_center(p)
+        """Insert a center and push the central triangles its copies
+        create."""
+        block = self._block
+        lab, xs, ys = block.labels, block.xs, block.ys
+        slots, px, py = [], [], []
+        for slot, t in block.insert_center(p).items():
+            self._live.pop(slot, None)
+            if min(t) >= 0 and any(lab[v][1] == 0 and lab[v][2] == 0 for v in t):
+                slots.append(slot)
+                px.append([xs[v] for v in t])
+                py.append([ys[v] for v in t])
+        if slots:
+            cx, cy, r = _circumdata(np.array(px), np.array(py))
+            for entry in self._entries(slots, cx, cy, r):
+                heapq.heappush(self._heap, entry)
+
+    def _entries(self, slots, cx, cy, r):
+        """Heap entries (-r, rx, ry, slot), each made the live one of its
+        slot."""
+        rx, ry = _wrap_arrays(self._block.config.domain, cx, cy)
+        entries = list(zip((-r).tolist(), rx.tolist(), ry.tolist(), slots))
+        live = self._live
+        for entry in entries:
+            live[entry[3]] = entry
+        return entries
 
 
 _BIN = 2.0  # side of the BoxScanner candidate buckets
@@ -1375,17 +1361,12 @@ class BoxScanner:
         first, second = self._dedge.get((i, j)), self._dedge.get((j, i))
         if first is None and second is None:
             return
-        domain, cc = self.config.domain, self._cc
-        if first is not None and second is not None:
-            p1, p2 = cc[first[0]], cc[second[0]]
-            if p2 < p1:
-                p1, p2 = p2, p1
-        else:
-            slot, k = first or second
-            p1 = cc[slot]
-            c = self._centers
-            p2 = _hull_ray_end(p1, c[i], c[j], c[k], domain.width, domain.height)
-        clip = _box_edge_segment(p1, p2, domain.width, domain.height, self.tol.eps_eq)
+        domain, cc, c = self.config.domain, self._cc, self._centers
+        slot, k = first or second
+        p2 = None if first is None or second is None else cc[second[0]]
+        clip = _box_edge_segment(
+            cc[slot], p2, c[i], c[j], c[k], domain.width, domain.height, self.tol.eps_eq
+        )
         if clip is not None:
             crossings = _region_crossings(clip[0], clip[1], self._region)
             if crossings:

@@ -220,13 +220,21 @@ class TestSaturation:
         assert check_thue(out).verdict
 
     def test_box_saturation(self):
-        cfg = PackingConfiguration(
+        corners = PackingConfiguration(
             Domain("box", 14.0, 14.0, margin=4.0),
             ((3.0, 3.0), (11.0, 3.0), (3.0, 11.0), (11.0, 11.0)),
         )
-        out = greedy_saturate(cfg)
-        assert is_saturated(out).saturated
-        assert set(cfg.centers) <= set(out.centers)
+        # a Voronoi edge crosses x = 4 here; shifting the clipped crossing
+        # back by the margin once rounded it to x = 3.9999999999999996,
+        # outside the analysis region
+        sparse = gen_random(Domain("box", 20.0, 20.0, margin=4.0), seed=2, max_failures=5)
+        for cfg in (corners, sparse):
+            out = greedy_saturate(cfg)
+            assert is_saturated(out).saturated
+            assert set(cfg.centers) <= set(out.centers)
+            m, w, h = cfg.domain.margin, cfg.domain.width, cfg.domain.height
+            for x, y in out.centers[cfg.n:]:
+                assert m <= x <= w - m and m <= y <= h - m
 
     def test_box_too_few_centers_raises(self):
         cfg = PackingConfiguration(Domain("box", 10.0, 10.0), ((1.0, 1.0), (5.0, 5.0)))

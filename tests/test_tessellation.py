@@ -27,6 +27,14 @@ def _dist(p, q):
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
+@pytest.fixture(scope="module")
+def rsa_diagrams():
+    """Diagrams of a saturated random torus and a saturated random box."""
+    torus = greedy_saturate(gen_random(Domain("torus", 40.0, 40.0), seed=1))
+    box = greedy_saturate(gen_random(Domain("box", 24.0, 24.0, margin=2.0), seed=5))
+    return build_diagram(torus), build_diagram(box)
+
+
 def _jittered_hex_torus(seed, cols=16, rows=16, spacing=2.5, holes=10):
     """A loose hexagonal torus lattice with `holes` sites removed (even
     column and row indices, so no two holes touch), each center then moved
@@ -189,8 +197,8 @@ class TestVoronoiDual:
                 for gp in v.generator_points:
                     assert abs(_dist(gp, v.position) - v.circumradius) <= dia.tol.eps_merge
 
-    def test_edges_on_bisectors(self, hex_diagram, square_diagram):
-        for dia in (hex_diagram, square_diagram):
+    def test_edges_on_bisectors(self, hex_diagram, square_diagram, rsa_diagrams):
+        for dia in (hex_diagram, square_diagram, *rsa_diagrams):
             for e in dia.edges:
                 g1, g2 = e.generator_points
                 for ep in e.endpoints:
@@ -406,36 +414,49 @@ class TestBoxEndToEnd:
 
 
 class TestDuality:
-    def test_edge_generators_are_delaunay_edges(self, hex_torus, square_torus):
+    def test_edge_generators_are_delaunay_edges(self, hex_torus, square_torus, rsa_diagrams):
         # every Voronoi edge's generator pair occurs as a canonical triangle
-        # edge (same pair at the same relative periodic offset)
+        # edge (same pair at the same relative periodic offset), at
+        # consecutive places in the generator ring of each vertex the edge
+        # names; there the ring's generator points, moved with the vertex
+        # onto the edge's endpoint (a torus edge may run to a periodic
+        # translate), are the edge's generator points
         from thuelab.tessellation import _edge_key
 
-        for cfg in (hex_torus, square_torus):
-            tri = delaunay(cfg)
-            dia = voronoi_dual(tri)
+        tori = [voronoi_dual(delaunay(cfg)) for cfg in (hex_torus, square_torus)]
+        for dia in (*tori, *rsa_diagrams):
+            tri = dia.triangulation
+            torus = dia.config.domain.is_torus
+            eps = dia.tol.eps_merge
             tri_edges = set()
             for idx, sh in zip(tri.triangles, tri.shifts):
                 for k in range(3):
                     a, b = (k + 1) % 3, (k + 2) % 3
                     tri_edges.add(_edge_key(idx[a], sh[a], idx[b], sh[b]))
             for e in dia.edges:
-                v = dia.vertices[e.vertex_indices[0]]
-                d = v.degree
-                matched = False
-                for t in range(d):
-                    u = (t + 1) % d
-                    if {v.generators[t], v.generators[u]} != set(e.generators):
-                        continue
-                    key = _edge_key(
-                        v.generators[t],
-                        v.generator_shifts[t],
-                        v.generators[u],
-                        v.generator_shifts[u],
-                    )
-                    if key in tri_edges:
-                        matched = True
-                assert matched
+                for vi, end in zip(e.vertex_indices, e.endpoints):
+                    if vi < 0:
+                        continue  # a box hull ray names one vertex
+                    v = dia.vertices[vi]
+                    tx, ty = (end[0] - v.position[0], end[1] - v.position[1]) if torus else (0, 0)
+                    d = v.degree
+                    matched = False
+                    for t in range(d):
+                        for p, q in ((t, (t + 1) % d), ((t + 1) % d, t)):
+                            if (v.generators[p], v.generators[q]) != e.generators:
+                                continue
+                            gp, gq = v.generator_points[p], v.generator_points[q]
+                            moved = ((gp[0] + tx, gp[1] + ty), (gq[0] + tx, gq[1] + ty))
+                            if max(map(_dist, moved, e.generator_points)) > eps:
+                                continue
+                            key = _edge_key(
+                                v.generators[p],
+                                v.generator_shifts[p],
+                                v.generators[q],
+                                v.generator_shifts[q],
+                            )
+                            matched = matched or key in tri_edges
+                    assert matched
 
 
 class TestStructuralInvariantSweep:
@@ -535,7 +556,7 @@ class TestTorusScanner:
             keys = oracles.torus_block_rescan(block.tri, block.labels, cfg.domain)
             pos, r = scanner.max_empty()
             assert (-r, pos[0], pos[1]) == keys[0]
-            assert sorted(entry[:3] for entry in block._live.values()) == keys
+            assert sorted(entry[:3] for entry in scanner._live.values()) == keys
             if r < 2.0 - DEFAULT_TOL.eps_eq:
                 break
             scanner.insert(pos)
